@@ -587,11 +587,12 @@ mod tests {
         // The retry loop must make read-modify-write exact under racing
         // updaters hammering the same key.
         let map = std::sync::Arc::new(SlabMap::with_capacity(100));
-        let _chaos = simt::ChaosGuard::new(0.1);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let map = &map;
                 scope.spawn(move || {
+                    // Plans are thread-scoped: each updater opts in.
+                    let _chaos = simt::ChaosGuard::new(0.1);
                     let mut h = map.handle();
                     for _ in 0..500 {
                         h.upsert(7, |v| v.unwrap_or(0) + 1);

@@ -7,10 +7,10 @@
 //! apart — and the narrow windows lock-free algorithms care about (between
 //! a slab read and the CAS that validates it) would almost never be hit.
 //!
-//! Chaos mode closes that gap: when enabled, the memory layer yields the
-//! OS thread with probability `p` immediately **before each atomic RMW**,
-//! maximizing the chance that another warp's operation lands inside the
-//! read-then-CAS window. Tests that assert linearizable outcomes under
+//! Chaos mode closes that gap: under a yield plan, the memory layer yields
+//! the OS thread with probability `p` immediately **before each atomic
+//! RMW**, maximizing the chance that another warp's operation lands inside
+//! the read-then-CAS window. Tests that assert linearizable outcomes under
 //! concurrency enable it around their stress loops.
 //!
 //! Beyond yields, a [`FaultPlan`] can inject *failures*:
@@ -23,23 +23,34 @@
 //!   surface `AllocError` as if capacity were exhausted, so out-of-memory
 //!   recovery paths get exercised on healthy allocators.
 //!
-//! Draws come from per-thread xorshift32 streams. Each thread's stream is
-//! seeded from the plan's `seed` mixed with a per-thread index, so (a)
-//! different threads make *different* yield/fault decisions, and (b) a
-//! fixed seed on a fixed thread schedule (e.g. `Grid::sequential`)
+//! # Scope
+//!
+//! A plan applies to the thread that installed it with a [`ChaosGuard`]
+//! and to the grid launches that thread makes: `Grid` hands the launching
+//! thread's plan to each executor for that launch only, so pooled workers
+//! shed it when the launch ends. Threads spawned directly with
+//! `std::thread` do not inherit a plan; they opt in with their own guard.
+//! There is no process-global plan, so tests running in parallel never see
+//! each other's plans. Guards nest on a thread: the innermost live plan is
+//! in force, and dropping a guard restores the plan it replaced.
+//!
+//! # Determinism
+//!
+//! Draws come from per-thread xorshift32 streams. A guard seeds its
+//! thread's stream from the plan's `seed` mixed with a per-thread index, so
+//! threads holding the same plan make *different* decisions. A launch
+//! seeds each executor's stream from one draw of the launching thread's
+//! stream and the executor's slot. So a fixed seed on a fixed schedule
+//! (e.g. `Grid::sequential`, which runs warps on the launching thread)
 //! reproduces the exact same decision sequence — failures found in CI
 //! replay locally.
 //!
-//! Plans nest: guards push onto a global stack and the innermost live plan
-//! is the active one, so parallel tests (or a test inside a chaotic
-//! harness) cannot silently disable each other's chaos by dropping a guard.
-//!
-//! Disabled (the default), the cost is one relaxed atomic load per hook.
+//! With no plan installed (the default), each hook costs one thread-local
+//! load.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A seeded fault-injection configuration.
 ///
@@ -108,159 +119,40 @@ fn level(p: f64) -> u32 {
     (p.clamp(0.0, 1.0) * u32::MAX as f64) as u32
 }
 
-// The active plan, denormalized into atomics for the hot path.
-static YIELD_LEVEL: AtomicU32 = AtomicU32::new(0);
-static CAS_FAIL_LEVEL: AtomicU32 = AtomicU32::new(0);
-static ALLOC_FAIL_LEVEL: AtomicU32 = AtomicU32::new(0);
-static PLAN_SEED: AtomicU64 = AtomicU64::new(0);
-/// Bumped on every plan change; threads reseed their stream when they
-/// observe a new epoch.
-static PLAN_EPOCH: AtomicU64 = AtomicU64::new(0);
-
-/// The guard stack: (guard id, plan). The innermost (last) entry is active.
-static PLAN_STACK: Mutex<Vec<(u64, FaultPlan)>> = Mutex::new(Vec::new());
-static NEXT_GUARD_ID: AtomicU64 = AtomicU64::new(1);
-
-fn apply(plan: Option<FaultPlan>) {
-    let plan = plan.unwrap_or(FaultPlan {
-        seed: 0,
-        ..FaultPlan::default()
-    });
-    YIELD_LEVEL.store(level(plan.yield_probability), Ordering::Relaxed);
-    CAS_FAIL_LEVEL.store(level(plan.cas_fail_probability), Ordering::Relaxed);
-    ALLOC_FAIL_LEVEL.store(level(plan.alloc_fail_probability), Ordering::Relaxed);
-    PLAN_SEED.store(plan.seed, Ordering::Relaxed);
-    PLAN_EPOCH.fetch_add(1, Ordering::Relaxed);
+/// One thread's chaos state: the installed plan, denormalized into draw
+/// thresholds for the hot path, plus the thread's decision stream.
+#[derive(Clone, Copy)]
+struct Scope {
+    plan: Option<FaultPlan>,
+    yield_level: u32,
+    cas_fail_level: u32,
+    alloc_fail_level: u32,
+    /// xorshift32 state (never zero while a plan is installed).
+    rng: u32,
 }
 
-/// Enables chaos mode: before each atomic RMW, yield the OS thread with
-/// probability `p` (clamped to [0, 1]).
-///
-/// Prefer [`ChaosGuard`] in tests — plain `set_chaos` replaces the *base*
-/// state under any active guards and is itself overridden while guards
-/// live.
-pub fn set_chaos(p: f64) {
-    let stack = PLAN_STACK.lock();
-    if stack.is_empty() {
-        apply(Some(FaultPlan::yields(p)));
-    } else {
-        // Guards are active; they own the configuration.
-        drop(stack);
-        apply_top();
-    }
-}
-
-/// Disables chaos mode (no-op while guards are active; the innermost guard
-/// keeps its plan).
-pub fn disable_chaos() {
-    let stack = PLAN_STACK.lock();
-    if stack.is_empty() {
-        apply(None);
-    }
-}
-
-fn apply_top() {
-    let stack = PLAN_STACK.lock();
-    apply(stack.last().map(|&(_, plan)| plan));
-}
-
-/// The currently active plan, if any guard is live.
-pub fn active_plan() -> Option<FaultPlan> {
-    PLAN_STACK.lock().last().map(|&(_, plan)| plan)
-}
-
-/// RAII guard: its [`FaultPlan`] is active while the guard is alive (and
-/// no inner guard shadows it); dropping re-activates the next-innermost
-/// guard, or disables chaos when none remain.
-///
-/// Guards nest — including across threads — so parallel tests cannot
-/// disable each other's chaos mid-stress-loop; the last surviving guard's
-/// plan wins rather than chaos going dark.
-///
-/// The creating thread is enrolled in *failure* injection for the guard's
-/// lifetime (see [`Participation`]); yields stay process-global.
-pub struct ChaosGuard {
-    id: u64,
-    _participation: Participation,
-}
-
-impl ChaosGuard {
-    /// Enables yield-only chaos at probability `p` for the guard's
-    /// lifetime.
-    pub fn new(p: f64) -> Self {
-        Self::plan(FaultPlan::yields(p))
-    }
-
-    /// Activates an arbitrary fault plan for the guard's lifetime.
-    pub fn plan(plan: FaultPlan) -> Self {
-        let id = NEXT_GUARD_ID.fetch_add(1, Ordering::Relaxed);
-        PLAN_STACK.lock().push((id, plan));
-        apply_top();
-        ChaosGuard {
-            id,
-            _participation: participate(),
-        }
-    }
-}
-
-impl Drop for ChaosGuard {
-    fn drop(&mut self) {
-        let mut stack = PLAN_STACK.lock();
-        stack.retain(|&(id, _)| id != self.id);
-        drop(stack);
-        apply_top();
-    }
-}
-
-thread_local! {
-    /// Nesting count of [`Participation`] enrollments on this thread.
-    static PARTICIPATION: Cell<u32> = const { Cell::new(0) };
-}
-
-/// RAII enrollment of the current thread in *failure* injection
-/// ([`should_fail_cas`] / [`should_fail_alloc`]).
-///
-/// Failure injection is opt-in per thread — unlike yields, an injected
-/// failure changes results, so a plan activated by one test must not fail
-/// allocations of unrelated tests running on sibling `cargo test` threads.
-/// A [`ChaosGuard`] enrolls its creating thread automatically, and the
-/// `Grid` scheduler propagates the launching thread's enrollment to its
-/// executor threads, so faults reach exactly the kernels launched under
-/// the guard.
-pub struct Participation(());
-
-/// Enrolls the current thread in failure injection until the returned
-/// guard drops. Nest-safe (counted).
-pub fn participate() -> Participation {
-    PARTICIPATION.with(|c| c.set(c.get() + 1));
-    Participation(())
-}
-
-/// [`participate`] iff `enrolled` — for schedulers propagating a parent
-/// thread's enrollment into worker threads.
-pub fn participate_if(enrolled: bool) -> Option<Participation> {
-    enrolled.then(participate)
-}
-
-impl Drop for Participation {
-    fn drop(&mut self) {
-        PARTICIPATION.with(|c| c.set(c.get().saturating_sub(1)));
-    }
-}
-
-/// True when the current thread is enrolled in failure injection.
-pub fn thread_participates() -> bool {
-    PARTICIPATION.with(|c| c.get() > 0)
+impl Scope {
+    const OFF: Scope = Scope {
+        plan: None,
+        yield_level: 0,
+        cas_fail_level: 0,
+        alloc_fail_level: 0,
+        rng: 0,
+    };
 }
 
 static THREAD_COUNTER: AtomicU32 = AtomicU32::new(0);
 
 thread_local! {
+    /// The plan in force on this thread. `Copy` with a const initializer,
+    /// so every hook reads it with one thread-local load.
+    static SCOPE: Cell<Scope> = const { Cell::new(Scope::OFF) };
+    /// Live guards on this thread, innermost last: (guard id, the scope
+    /// it replaced).
+    static SAVED: RefCell<Vec<(u64, Scope)>> = const { RefCell::new(Vec::new()) };
     /// Stable per-thread index, mixed into the stream seed so threads
-    /// diverge.
+    /// holding the same plan diverge.
     static THREAD_INDEX: u32 = THREAD_COUNTER.fetch_add(1, Ordering::Relaxed);
-    /// (epoch this stream was seeded for, xorshift32 state).
-    static RNG: Cell<(u64, u32)> = const { Cell::new((0, 0)) };
 }
 
 /// 32-bit finalizer (splitmix-style) used for seeding.
@@ -273,87 +165,178 @@ fn mix32(mut x: u32) -> u32 {
     x
 }
 
-/// One draw from this thread's decision stream, reseeding when the active
-/// plan changed since the last draw.
+/// Initial stream state for `seed` on stream `index`; never zero
+/// (xorshift32 has a fixed point at 0).
+fn stream_seed(seed: u64, index: u32) -> u32 {
+    mix32(seed as u32 ^ mix32((seed >> 32) as u32) ^ mix32(index.wrapping_mul(0x9e37_79b9))) | 1
+}
+
+/// The plan installed on the current thread, if any: by a live
+/// [`ChaosGuard`] on this thread, or by the grid for the launch this
+/// thread is executing.
+pub fn active_plan() -> Option<FaultPlan> {
+    SCOPE.with(|s| s.get().plan)
+}
+
+/// RAII guard: installs a [`FaultPlan`] on the creating thread for the
+/// guard's lifetime; dropping it restores the plan it replaced.
+///
+/// The plan applies to this thread and to the grid launches it makes (each
+/// executor runs the launch under the plan). Threads it spawns itself do
+/// not inherit it; they opt in by creating their own guard with the same
+/// plan. Guards nest on a thread: the innermost live one wins. The guard is
+/// `!Send`, since it restores the state of the thread that created it.
+pub struct ChaosGuard {
+    id: u64,
+    _thread_bound: PhantomData<*const ()>,
+}
+
+impl ChaosGuard {
+    /// Enables yield-only chaos at probability `p` for the guard's
+    /// lifetime.
+    pub fn new(p: f64) -> Self {
+        Self::plan(FaultPlan::yields(p))
+    }
+
+    /// Installs an arbitrary fault plan for the guard's lifetime.
+    pub fn plan(plan: FaultPlan) -> Self {
+        Self::install(plan, stream_seed(plan.seed, THREAD_INDEX.with(|&t| t)))
+    }
+
+    fn install(plan: FaultPlan, rng: u32) -> Self {
+        let prev = SCOPE.replace(Scope {
+            plan: Some(plan),
+            yield_level: level(plan.yield_probability),
+            cas_fail_level: level(plan.cas_fail_probability),
+            alloc_fail_level: level(plan.alloc_fail_probability),
+            rng,
+        });
+        // Ids ascend along the stack, so the next one is unique among the
+        // live guards.
+        let id = SAVED.with(|s| {
+            let mut saved = s.borrow_mut();
+            let id = saved.last().map_or(0, |&(id, _)| id + 1);
+            saved.push((id, prev));
+            id
+        });
+        ChaosGuard {
+            id,
+            _thread_bound: PhantomData,
+        }
+    }
+}
+
+impl Drop for ChaosGuard {
+    fn drop(&mut self) {
+        SAVED.with(|s| {
+            let mut saved = s.borrow_mut();
+            let Some(i) = saved.iter().rposition(|&(id, _)| id == self.id) else {
+                return;
+            };
+            let (_, prev) = saved.remove(i);
+            match saved.get_mut(i) {
+                // Dropped under a live inner guard: the inner plan stays in
+                // force and, when it goes, restores what this guard replaced.
+                Some((_, inner_prev)) => *inner_prev = prev,
+                None => SCOPE.set(prev),
+            }
+        });
+    }
+}
+
+/// A launching thread's plan, captured for one multi-executor launch.
+#[derive(Clone, Copy)]
+pub(crate) struct LaunchPlan {
+    plan: FaultPlan,
+    seed: u64,
+}
+
+impl LaunchPlan {
+    /// Captures the current thread's plan, if any. The launch's streams
+    /// are seeded from one draw of this thread's stream, so successive
+    /// launches diverge while a fixed seed still replays them.
+    pub(crate) fn capture() -> Option<Self> {
+        let plan = active_plan()?;
+        Some(LaunchPlan {
+            plan,
+            seed: u64::from(draw()),
+        })
+    }
+
+    /// Installs the plan on an executor for the rest of its invocation;
+    /// `slot` selects the executor's stream.
+    pub(crate) fn enter(&self, slot: usize) -> ChaosGuard {
+        ChaosGuard::install(self.plan, stream_seed(self.seed, slot as u32))
+    }
+}
+
+/// One draw from this thread's decision stream.
 fn draw() -> u32 {
-    let epoch = PLAN_EPOCH.load(Ordering::Relaxed);
-    RNG.with(|c| {
-        let (seen, state) = c.get();
-        let mut x = if seen == epoch && state != 0 {
-            state
-        } else {
-            let seed = PLAN_SEED.load(Ordering::Relaxed);
-            let tid = THREAD_INDEX.with(|&t| t);
-            // Mix thread index and both seed halves; never zero (xorshift32
-            // has a fixed point at 0).
-            mix32(seed as u32 ^ mix32((seed >> 32) as u32) ^ mix32(tid.wrapping_mul(0x9e37_79b9)))
-                | 1
-        };
+    SCOPE.with(|s| {
+        let mut scope = s.get();
+        let mut x = scope.rng;
         x ^= x << 13;
         x ^= x >> 17;
         x ^= x << 5;
-        c.set((epoch, x));
+        scope.rng = x;
+        s.set(scope);
         x
     })
 }
 
 /// Called by the memory layer (and other lock-free substrates built on this
-/// crate) before atomic RMWs. Yields the OS thread with the configured
-/// probability; a no-op when chaos is disabled.
+/// crate) before atomic RMWs. Yields the OS thread with the probability of
+/// this thread's plan; a no-op when the thread has none.
 #[inline]
 pub fn maybe_yield() {
-    let level = YIELD_LEVEL.load(Ordering::Relaxed);
-    if level == 0 {
-        return;
-    }
-    if draw() <= level {
+    let level = SCOPE.with(|s| s.get().yield_level);
+    if level != 0 && draw() <= level {
         std::thread::yield_now();
     }
 }
 
 /// Consulted by retry-safe CAS call sites (slot claims, tombstoning):
 /// `true` means "treat this attempt as spuriously failed and take the
-/// retry path". Always `false` when no plan injects CAS failures or the
-/// thread is not [enrolled](Participation).
+/// retry path". Always `false` when this thread's plan injects no CAS
+/// failures.
 #[inline]
 pub fn should_fail_cas() -> bool {
-    let level = CAS_FAIL_LEVEL.load(Ordering::Relaxed);
-    level != 0 && thread_participates() && draw() <= level
+    let level = SCOPE.with(|s| s.get().cas_fail_level);
+    level != 0 && draw() <= level
 }
 
 /// Consulted by fallible allocators: `true` means "fail this allocation as
-/// if capacity were exhausted". Always `false` when no plan injects
-/// allocation failures or the thread is not [enrolled](Participation).
+/// if capacity were exhausted". Always `false` when this thread's plan
+/// injects no allocation failures.
 #[inline]
 pub fn should_fail_alloc() -> bool {
-    let level = ALLOC_FAIL_LEVEL.load(Ordering::Relaxed);
-    level != 0 && thread_participates() && draw() <= level
+    let level = SCOPE.with(|s| s.get().alloc_fail_level);
+    level != 0 && draw() <= level
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Chaos state is process-global; every test that touches it goes
-    // through this lock so `cargo test`'s parallel threads don't observe
-    // each other's plans.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    fn yield_level() -> u32 {
+        SCOPE.with(|s| s.get().yield_level)
+    }
 
     #[test]
     fn disabled_by_default_and_guard_restores() {
-        let _l = TEST_LOCK.lock();
-        assert_eq!(YIELD_LEVEL.load(Ordering::Relaxed), 0);
+        assert_eq!(yield_level(), 0);
+        assert!(active_plan().is_none());
         {
             let _g = ChaosGuard::new(0.5);
-            assert!(YIELD_LEVEL.load(Ordering::Relaxed) > 0);
+            assert!(yield_level() > 0);
             maybe_yield(); // must not panic or hang
         }
-        assert_eq!(YIELD_LEVEL.load(Ordering::Relaxed), 0);
+        assert_eq!(yield_level(), 0);
+        assert!(active_plan().is_none());
     }
 
     #[test]
     fn full_probability_always_yields_without_deadlock() {
-        let _l = TEST_LOCK.lock();
         let _g = ChaosGuard::new(1.0);
         for _ in 0..100 {
             maybe_yield();
@@ -361,18 +344,25 @@ mod tests {
     }
 
     #[test]
-    fn clamps_out_of_range() {
-        let _l = TEST_LOCK.lock();
-        set_chaos(7.5);
-        assert_eq!(YIELD_LEVEL.load(Ordering::Relaxed), u32::MAX);
-        set_chaos(-1.0);
-        assert_eq!(YIELD_LEVEL.load(Ordering::Relaxed), 0);
-        disable_chaos();
+    fn builders_clamp_probabilities_to_unit_interval() {
+        let high = FaultPlan::yields(7.5)
+            .with_cas_failures(2.0)
+            .with_alloc_failures(f64::INFINITY);
+        assert_eq!(high.yield_probability, 1.0);
+        assert_eq!(high.cas_fail_probability, 1.0);
+        assert_eq!(high.alloc_fail_probability, 1.0);
+        let low = FaultPlan::yields(-1.0)
+            .with_cas_failures(-0.5)
+            .with_alloc_failures(f64::NEG_INFINITY);
+        assert_eq!(low.yield_probability, 0.0);
+        assert_eq!(low.cas_fail_probability, 0.0);
+        assert_eq!(low.alloc_fail_probability, 0.0);
+        let _g = ChaosGuard::new(7.5);
+        assert_eq!(yield_level(), u32::MAX);
     }
 
     #[test]
     fn guards_nest_inner_wins_then_outer_restored() {
-        let _l = TEST_LOCK.lock();
         let outer = ChaosGuard::plan(FaultPlan::yields(0.25));
         {
             let _inner = ChaosGuard::plan(FaultPlan::seeded(9).with_cas_failures(1.0));
@@ -389,7 +379,6 @@ mod tests {
 
     #[test]
     fn out_of_order_guard_drops_keep_survivor_active() {
-        let _l = TEST_LOCK.lock();
         let a = ChaosGuard::plan(FaultPlan::yields(0.1));
         let b = ChaosGuard::plan(FaultPlan::yields(0.2));
         drop(a); // dropped before the inner guard b
@@ -401,7 +390,6 @@ mod tests {
 
     #[test]
     fn injection_probability_extremes() {
-        let _l = TEST_LOCK.lock();
         {
             let _g = ChaosGuard::plan(
                 FaultPlan::seeded(1)
@@ -416,8 +404,38 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_plans_on_two_threads_stay_separate() {
+        // Both plans are live at once; each thread's hooks follow only the
+        // plan it installed.
+        let both_live = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let failing = s.spawn(|| {
+                let _g = ChaosGuard::plan(FaultPlan::seeded(3).with_cas_failures(1.0));
+                both_live.wait();
+                let all = (0..256).all(|_| should_fail_cas());
+                both_live.wait();
+                all
+            });
+            let yielding = s.spawn(|| {
+                let _g = ChaosGuard::plan(FaultPlan::seeded(4).with_yields(0.5));
+                both_live.wait();
+                let none = (0..256).all(|_| !should_fail_cas() && !should_fail_alloc());
+                both_live.wait();
+                none
+            });
+            assert!(
+                failing.join().unwrap(),
+                "CAS-fail-1.0 thread missed injections"
+            );
+            assert!(
+                yielding.join().unwrap(),
+                "yield-only thread saw a sibling's CAS plan"
+            );
+        });
+    }
+
+    #[test]
     fn same_seed_same_thread_reproduces_decisions() {
-        let _l = TEST_LOCK.lock();
         let run = |seed: u64| -> Vec<bool> {
             let _g = ChaosGuard::plan(FaultPlan::seeded(seed).with_cas_failures(0.5));
             (0..64).map(|_| should_fail_cas()).collect()
@@ -428,13 +446,12 @@ mod tests {
 
     #[test]
     fn threads_draw_divergent_streams() {
-        let _l = TEST_LOCK.lock();
-        let _g = ChaosGuard::plan(FaultPlan::seeded(7).with_cas_failures(0.5));
+        let plan = FaultPlan::seeded(7).with_cas_failures(0.5);
         let decisions: Vec<Vec<bool>> = std::thread::scope(|s| {
             (0..4)
                 .map(|_| {
                     s.spawn(|| {
-                        let _p = participate();
+                        let _g = ChaosGuard::plan(plan);
                         (0..64).map(|_| should_fail_cas()).collect::<Vec<_>>()
                     })
                 })

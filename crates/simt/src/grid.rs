@@ -542,15 +542,14 @@ impl Grid {
             return (ctx.counters, ctx.histograms);
         }
         let merged = parking_lot::Mutex::new((PerfCounters::default(), Histograms::default()));
-        // Failure injection is enrolled per thread; executors inherit the
-        // launching thread's enrollment so faults reach exactly the kernels
-        // launched under a ChaosGuard (and never a sibling test's). The
-        // enrollment guard drops at the end of each invocation, so pooled
-        // workers shed it before the next launch. Trace sessions are
-        // likewise captured per launch from the launching thread.
-        let enrolled = crate::chaos::thread_participates();
+        // Fault plans are thread-scoped: every executor runs this launch
+        // under the launching thread's plan (and never a sibling test's).
+        // The guard drops at the end of each invocation, so pooled workers
+        // shed the plan before the next launch. Trace sessions are likewise
+        // captured per launch from the launching thread.
+        let chaos = crate::chaos::LaunchPlan::capture();
         let executor = |slot: usize| {
-            let _enroll = crate::chaos::participate_if(enrolled);
+            let _chaos = chaos.map(|plan| plan.enter(slot));
             let mut ctx = WarpCtx::bound(usize::MAX, session);
             body(slot, &mut ctx);
             let mut blocks = merged.lock();

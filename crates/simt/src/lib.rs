@@ -58,7 +58,7 @@ pub mod warp;
 
 pub use telemetry;
 
-pub use chaos::{disable_chaos, set_chaos, ChaosGuard, FaultPlan};
+pub use chaos::{ChaosGuard, FaultPlan};
 pub use counters::PerfCounters;
 pub use epoch::{EpochClock, EpochPin};
 pub use grid::{Dispatch, Grid, LaunchError, LaunchReport, WarpCtx};

@@ -541,16 +541,21 @@ mod race_tests {
     use super::*;
     use crate::chaos::ChaosGuard;
 
+    /// Yield probability of the plan every racing thread below installs
+    /// for itself: plans are thread-scoped, and these threads are spawned
+    /// directly.
+    const CHAOS: f64 = 0.3;
+
     /// 64-bit pair CAS must never produce a torn pair: concurrent writers
     /// each install (tag, tag) pairs; every observed pair must be coherent.
     #[test]
     fn no_torn_pairs_under_chaos() {
-        let _g = ChaosGuard::new(0.3);
         let s = SlabStorage::new(1, 0);
         std::thread::scope(|scope| {
             for t in 1..=4u32 {
                 let s = &s;
                 scope.spawn(move || {
+                    let _g = ChaosGuard::new(CHAOS);
                     let mut c = PerfCounters::default();
                     for i in 0..500 {
                         let tag = t * 10_000 + i;
@@ -570,13 +575,13 @@ mod race_tests {
     /// that covers neither.
     #[test]
     fn racing_tag_publishes_converge_upward() {
-        let _g = ChaosGuard::new(0.3);
         for _ in 0..50 {
             let s = SlabStorage::new(1, 0);
             std::thread::scope(|scope| {
                 for tag in [0x11u8, 0x22] {
                     let s = &s;
                     scope.spawn(move || {
+                        let _g = ChaosGuard::new(CHAOS);
                         let mut c = PerfCounters::default();
                         s.publish_tag(0, 5, tag, &mut c);
                     });
@@ -591,12 +596,12 @@ mod race_tests {
     /// both halves under concurrent updates (the CAS-loop implementation).
     #[test]
     fn sibling_lanes_are_independent_under_chaos() {
-        let _g = ChaosGuard::new(0.3);
         let s = SlabStorage::new(1, 0);
         std::thread::scope(|scope| {
             for lane in [8usize, 9] {
                 let s = &s;
                 scope.spawn(move || {
+                    let _g = ChaosGuard::new(CHAOS);
                     let mut c = PerfCounters::default();
                     for _ in 0..2_000 {
                         let cur = s.read_lane(0, lane, &mut c);

@@ -211,7 +211,9 @@ fn main() {
     // emit ingress events into the reconciled trace). A deliberately
     // overloaded broker — a shed watermark nothing can satisfy — shows the
     // overload counters and the queue-depth histogram the ingress layer
-    // bills: writes shed, the breaker trips, reads still complete.
+    // bills: writes shed, the breaker trips, reads still complete. The
+    // broker runs on its own thread, so the chaos plan above (scoped to
+    // this thread and its launches) does not reach it.
     let service = std::sync::Arc::new(SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(64)));
     let mut broker = slab_ingress::Broker::spawn(
         std::sync::Arc::clone(&service),

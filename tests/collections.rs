@@ -1,20 +1,19 @@
 //! Integration tests for the typed collection wrappers under concurrency
-//! and chaos scheduling.
+//! and chaos scheduling. Fault plans are thread-scoped, so each thread a
+//! test spawns installs the test's plan itself.
 
-use simt::{ChaosGuard, Grid};
+use simt::{ChaosGuard, FaultPlan, Grid};
 use slab_hash::collections::{SlabMap, SlabMultiMap, SlabSet};
-
-static CHAOS_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
 #[test]
 fn map_concurrent_disjoint_writers() {
-    let _l = CHAOS_LOCK.lock();
-    let _g = ChaosGuard::new(0.1);
+    let chaos = FaultPlan::yields(0.1);
     let map = SlabMap::with_capacity(40_000);
     std::thread::scope(|scope| {
         for t in 0..4u32 {
             let map = &map;
             scope.spawn(move || {
+                let _g = ChaosGuard::plan(chaos);
                 let mut h = map.handle();
                 for i in 0..10_000u32 {
                     h.insert(t * 10_000 + i, i);
@@ -32,14 +31,14 @@ fn map_concurrent_disjoint_writers() {
 
 #[test]
 fn map_concurrent_upsert_many_hot_keys() {
-    let _l = CHAOS_LOCK.lock();
-    let _g = ChaosGuard::new(0.15);
+    let chaos = FaultPlan::yields(0.15);
     let map = SlabMap::with_capacity(64);
     let increments_per_thread = 1_000;
     std::thread::scope(|scope| {
         for _ in 0..4 {
             let map = &map;
             scope.spawn(move || {
+                let _g = ChaosGuard::plan(chaos);
                 let mut h = map.handle();
                 for i in 0..increments_per_thread {
                     h.upsert(i % 8, |v| v.unwrap_or(0) + 1);
@@ -56,8 +55,7 @@ fn map_concurrent_upsert_many_hot_keys() {
 fn set_concurrent_dedup_exactness() {
     // Many threads insert overlapping key ranges; the set must contain each
     // key exactly once and report exactly one "new" per key overall.
-    let _l = CHAOS_LOCK.lock();
-    let _g = ChaosGuard::new(0.1);
+    let chaos = FaultPlan::yields(0.1);
     let set = SlabSet::with_capacity(10_000);
     let new_count = std::sync::atomic::AtomicUsize::new(0);
     std::thread::scope(|scope| {
@@ -65,6 +63,7 @@ fn set_concurrent_dedup_exactness() {
             let set = &set;
             let new_count = &new_count;
             scope.spawn(move || {
+                let _g = ChaosGuard::plan(chaos);
                 let mut h = set.handle();
                 // Each thread inserts an overlapping window.
                 for k in (t as u32 * 2_000)..(t as u32 * 2_000 + 4_000) {
@@ -86,7 +85,6 @@ fn set_concurrent_dedup_exactness() {
 
 #[test]
 fn multimap_concurrent_append_and_drain() {
-    let _l = CHAOS_LOCK.lock();
     let _g = ChaosGuard::new(0.1);
     let grid = Grid::new(4);
     let mut mm = SlabMultiMap::with_capacity(20_000);

@@ -2,25 +2,19 @@
 //! forcing interleavings inside the read-then-CAS windows (essential on
 //! single-core hosts, where OS preemption alone would almost never land
 //! there — see `simt::chaos`).
-//!
-//! Chaos mode is process-global, so these tests serialize behind a mutex.
 
 use std::collections::HashSet;
 
 use simt::{ChaosGuard, Grid};
 use slab_hash::{KeyValue, OpResult, Request, SlabHash, SlabHashConfig, WarpDriver};
 
-static CHAOS_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-
-fn chaotic_grid() -> (parking_lot::MutexGuard<'static, ()>, ChaosGuard, Grid) {
-    let lock = CHAOS_LOCK.lock();
-    let guard = ChaosGuard::new(0.2);
-    (lock, guard, Grid::new(8))
+fn chaotic_grid() -> (ChaosGuard, Grid) {
+    (ChaosGuard::new(0.2), Grid::new(8))
 }
 
 #[test]
 fn racing_replaces_of_one_key_keep_uniqueness() {
-    let (_l, _g, grid) = chaotic_grid();
+    let (_g, grid) = chaotic_grid();
     let table = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(1));
     // 512 threads all REPLACE the same key with distinct values.
     let mut reqs: Vec<Request> = (0..512).map(|i| Request::replace(42, i)).collect();
@@ -43,7 +37,7 @@ fn racing_replaces_of_one_key_keep_uniqueness() {
 
 #[test]
 fn racing_inserts_into_one_bucket_lose_nothing() {
-    let (_l, _g, grid) = chaotic_grid();
+    let (_g, grid) = chaotic_grid();
     let table = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(1));
     let mut reqs: Vec<Request> = (0..2_000).map(|k| Request::replace(k, k + 1)).collect();
     table.execute_batch(&mut reqs, &grid);
@@ -65,7 +59,7 @@ fn racing_inserts_into_one_bucket_lose_nothing() {
 
 #[test]
 fn concurrent_delete_and_search_of_same_keys() {
-    let (_l, _g, grid) = chaotic_grid();
+    let (_g, grid) = chaotic_grid();
     let table = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(4));
     let initial: Vec<(u32, u32)> = (0..1_000).map(|k| (k, k)).collect();
     table.bulk_build(&initial, &grid);
@@ -97,7 +91,7 @@ fn concurrent_delete_and_search_of_same_keys() {
 
 #[test]
 fn concurrent_duplicate_deletes_delete_exactly_once() {
-    let (_l, _g, grid) = chaotic_grid();
+    let (_g, grid) = chaotic_grid();
     let table = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(2));
     let initial: Vec<(u32, u32)> = (0..200).map(|k| (k, k)).collect();
     table.bulk_build(&initial, &grid);
@@ -119,7 +113,7 @@ fn concurrent_duplicate_deletes_delete_exactly_once() {
 
 #[test]
 fn concurrent_inserts_reusing_tombstones_never_lose_elements() {
-    let (_l, _g, grid) = chaotic_grid();
+    let (_g, grid) = chaotic_grid();
     let table = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(1));
     // Phase 1: fill and tombstone to create reusable slots.
     let mut warp = WarpDriver::new(&table);
@@ -150,7 +144,6 @@ fn concurrent_inserts_reusing_tombstones_never_lose_elements() {
 #[test]
 fn allocator_chaos_storm_no_duplicate_slabs() {
     use slab_alloc::{SlabAlloc, SlabAllocConfig, SlabAllocator};
-    let _l = CHAOS_LOCK.lock();
     let _g = ChaosGuard::new(0.3);
     let alloc = SlabAlloc::new(SlabAllocConfig::small(2, 2));
     let grid = Grid::new(8);
@@ -170,7 +163,7 @@ fn allocator_chaos_storm_no_duplicate_slabs() {
 fn mixed_workload_conservation_under_chaos() {
     // Inserts and deletes on disjoint keys: final size is exactly
     // initial + inserts - deletes, regardless of scheduling.
-    let (_l, _g, grid) = chaotic_grid();
+    let (_g, grid) = chaotic_grid();
     let table = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(8));
     let initial: Vec<(u32, u32)> = (0..500).map(|k| (k, k)).collect();
     table.bulk_build(&initial, &grid);

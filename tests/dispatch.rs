@@ -2,8 +2,8 @@
 //!
 //! The persistent executor pool must be observably identical to the scoped
 //! per-launch threads it replaced: same panic containment, same per-launch
-//! chaos enrollment (inherited for the launch, shed afterwards — workers
-//! outlive launches now), same per-launch telemetry binding, same merged
+//! fault plan (the launching thread's, inherited for the launch and shed
+//! afterwards — workers outlive launches now), same per-launch telemetry binding, same merged
 //! counter and histogram totals. And bucket-partitioned batch execution
 //! must be a pure scheduling change: identical table state, identical
 //! per-request results in the caller's order.
@@ -85,27 +85,104 @@ fn pool_survives_dead_workers_without_hanging_launches() {
 
 #[test]
 fn pool_inherits_chaos_enrollment_per_launch_and_sheds_it() {
-    let grid = Grid::new(4);
-    // Counts warps whose executor thread participates in fault injection.
-    let enrolled_warps = |grid: &Grid| {
+    let plan = FaultPlan::seeded(0xC0DE).with_cas_failures(0.5);
+    // Counts warps whose executor thread runs under `plan`.
+    let planned_warps = |grid: &Grid| {
         grid.launch_warps(64, |ctx| {
-            if simt::chaos::thread_participates() {
+            if simt::chaos::active_plan() == Some(plan) {
                 ctx.counters.ops += 1;
             }
         })
         .counters
         .ops
     };
-    // Warm the pool outside any chaos scope.
-    assert_eq!(enrolled_warps(&grid), 0);
-    {
-        let _chaos = ChaosGuard::plan(FaultPlan::seeded(0xC0DE).with_cas_failures(0.5));
-        // The same persistent workers must now see the launching thread's
-        // enrollment, for every warp of the launch.
-        assert_eq!(enrolled_warps(&grid), 64);
+    for grid in [Grid::new(4), Grid::scoped(4)] {
+        // Warm the pool outside any chaos scope.
+        assert_eq!(planned_warps(&grid), 0);
+        {
+            let _chaos = ChaosGuard::plan(plan);
+            // Every executor, the same persistent workers included, must
+            // now run under the launching thread's plan, for every warp.
+            assert_eq!(planned_warps(&grid), 64);
+        }
+        // Guard dropped: workers are persistent, the plan must not be.
+        assert_eq!(planned_warps(&grid), 0);
     }
-    // Guard dropped: workers are persistent, the enrollment must not be.
-    assert_eq!(enrolled_warps(&grid), 0);
+}
+
+#[test]
+fn launches_never_inherit_another_threads_fault_plan() {
+    let grid = Grid::new(4);
+    // Injected CAS and alloc failures observed by a launch's executors.
+    let injected = |grid: &Grid| {
+        grid.launch_warps(64, |ctx| {
+            for _ in 0..32 {
+                if simt::chaos::should_fail_cas() || simt::chaos::should_fail_alloc() {
+                    ctx.counters.ops += 1;
+                }
+            }
+        })
+        .counters
+        .ops
+    };
+    let yields = FaultPlan::seeded(0x71E1D).with_yields(0.2);
+    let yielding_warps = |grid: &Grid| {
+        grid.launch_warps(64, |ctx| {
+            if simt::chaos::active_plan() == Some(yields) {
+                ctx.counters.ops += 1;
+            }
+        })
+        .counters
+        .ops
+    };
+    // A sibling thread holds a CAS- and alloc-fail-1.0 plan, installed
+    // after this thread's yield-only plan, while this thread and a thread
+    // with no plan at all launch on the same pooled grid.
+    let _yield_only = ChaosGuard::plan(yields);
+    let sibling_live = std::sync::Barrier::new(2);
+    let launches_done = std::sync::Barrier::new(2);
+    let (own, yield_launch, yield_warps, unplanned) = std::thread::scope(|s| {
+        let sibling = s.spawn(|| {
+            let _storm = ChaosGuard::plan(
+                FaultPlan::seeded(0x5707)
+                    .with_cas_failures(1.0)
+                    .with_alloc_failures(1.0),
+            );
+            sibling_live.wait();
+            let own = simt::chaos::should_fail_cas();
+            launches_done.wait();
+            own
+        });
+        sibling_live.wait();
+        let yield_launch = injected(&grid);
+        let yield_warps = yielding_warps(&grid);
+        let unplanned = s
+            .spawn(|| (simt::chaos::active_plan(), injected(&grid)))
+            .join()
+            .unwrap();
+        launches_done.wait();
+        (
+            sibling.join().unwrap(),
+            yield_launch,
+            yield_warps,
+            unplanned,
+        )
+    });
+    assert!(
+        own,
+        "the sibling's own plan must be live during the launches"
+    );
+    assert_eq!(
+        yield_launch, 0,
+        "yield-only launch inherited a sibling's failures"
+    );
+    assert_eq!(yield_warps, 64, "the yield plan must reach every executor");
+    assert_eq!(
+        unplanned,
+        (None, 0),
+        "no-plan launch inherited a sibling's failures"
+    );
+    assert_eq!(injected(&grid), 0);
 }
 
 #[test]

@@ -2,18 +2,12 @@
 //! a structured [`TableError`] without aborting, a fixed-seed fault plan
 //! reproduces the exact same failure points, warp panics are contained by
 //! the scheduler, and the table always audits clean afterwards.
-//!
-//! Tests that activate a fault plan serialize behind a mutex: the plan
-//! epoch is process-global, so a concurrent guard would reseed this
-//! thread's decision stream mid-run and break reproducibility.
 
 use simt::{ChaosGuard, FaultPlan, Grid};
 use slab_alloc::{AllocError, SerialHeapSim, SlabAllocator};
 use slab_hash::{
     KeyValue, OpResult, Request, SlabHash, SlabHashConfig, TableError, WarpDriver, EMPTY_KEY,
 };
-
-static CHAOS_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
 /// Satellite oracle: a launch over an exhausted allocator returns a
 /// structured `OutOfSlabs`, previously inserted keys stay searchable, and
@@ -69,7 +63,6 @@ fn exhausted_allocator_surfaces_error_and_preserves_the_table() {
 /// included; a different seed explores a different schedule.
 #[test]
 fn fixed_seed_fault_injection_reproduces_the_failure_points() {
-    let _l = CHAOS_LOCK.lock();
     let run = |seed: u64| -> (Vec<Option<TableError>>, usize) {
         let _g = ChaosGuard::plan(FaultPlan::seeded(seed).with_alloc_failures(0.4));
         let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(1));
@@ -152,7 +145,6 @@ fn try_execute_batch_contains_kernel_panics() {
 /// apply or fail cleanly — and the table must account for every slab.
 #[test]
 fn chaos_stress_fixed_seed_consistency() {
-    let _l = CHAOS_LOCK.lock();
     let _g = ChaosGuard::plan(
         FaultPlan::seeded(0x00C1_57E5)
             .with_yields(0.2)

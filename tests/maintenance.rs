@@ -3,10 +3,6 @@
 //! compaction + epoch reclamation + allocator growth keep returning dead
 //! slabs; compaction races live traffic without hiding a single live key;
 //! and every failure injected into the flusher leaves the table auditable.
-//!
-//! Tests that activate a fault plan serialize behind a mutex: the plan
-//! epoch is process-global, so a concurrent guard would reseed this
-//! thread's decision stream mid-run and break reproducibility.
 
 use simt::{ChaosGuard, FaultPlan, Grid, WarpCtx};
 use slab_alloc::{SerialHeapSim, SlabAlloc, SlabAllocConfig, SlabAllocator};
@@ -14,8 +10,6 @@ use slab_hash::{
     KeyValue, MaintenancePolicy, OpResult, Request, SlabHash, SlabHashConfig, TableError,
     WarpDriver, EMPTY_KEY,
 };
-
-static CHAOS_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
 /// Insert with the block policy's heal-and-retry loop; panics only when the
 /// policy itself gives up (which the soak treats as a lost table).
@@ -231,7 +225,6 @@ fn concurrent_compaction_races_live_traffic() {
 /// finishes the job.
 #[test]
 fn try_flush_under_faults_fails_clean_and_retries() {
-    let _l = CHAOS_LOCK.lock();
     let t = SlabHash::<KeyValue>::new(
         SlabHashConfig {
             seed: 0xFA11,
@@ -274,7 +267,6 @@ fn try_flush_under_faults_fails_clean_and_retries() {
 /// allocation failures over a concurrent grid, healed by the policy loop.
 #[test]
 fn chaos_churn_heals_under_fault_plan() {
-    let _l = CHAOS_LOCK.lock();
     let _g = ChaosGuard::plan(
         FaultPlan::seeded(0xC_0FFE)
             .with_yields(0.1)
@@ -350,7 +342,6 @@ fn double_free_shows_up_in_the_audit() {
 /// surfaces `RetryBudgetExhausted { budget }` with the configured value.
 #[test]
 fn retry_budget_is_a_per_table_builder_option() {
-    let _l = CHAOS_LOCK.lock();
     let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(4).with_retry_budget(2));
     assert_eq!(t.retry_budget(), 2);
 

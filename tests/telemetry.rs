@@ -2,18 +2,12 @@
 //! fixed chaos seed and sequential schedule, reconciliation between the
 //! event stream / histograms and the launch's `PerfCounters`, heatmap
 //! attribution, and custom-sink delivery.
-//!
-//! Tests that activate a fault plan serialize behind a mutex: the plan
-//! epoch is process-global, so a concurrent guard would reseed this
-//! thread's decision stream mid-run and break reproducibility.
 
 use std::sync::Arc;
 
 use simt::{ChaosGuard, FaultPlan, Grid, PerfCounters};
 use slab_hash::{KeyValue, Request, SlabHash, SlabHashConfig};
 use telemetry::{EventKind, Histograms, MemorySink, TraceConfig, TraceSession};
-
-static CHAOS_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
 /// A skewed request mix that forces chains, allocations, and CAS retries.
 fn workload(n: u32) -> Vec<Request> {
@@ -47,7 +41,6 @@ fn traced_run(seed: u64) -> (String, PerfCounters, Histograms) {
 /// byte-identical event stream; a different seed does not.
 #[test]
 fn fixed_seed_sequential_trace_is_byte_identical() {
-    let _l = CHAOS_LOCK.lock();
     let (a, ca, _) = traced_run(0xDECAF);
     let (b, cb, _) = traced_run(0xDECAF);
     assert_eq!(ca, cb, "counters must replay exactly");
@@ -61,7 +54,6 @@ fn fixed_seed_sequential_trace_is_byte_identical() {
 /// match the corresponding counter.
 #[test]
 fn trace_and_histograms_reconcile_with_counters() {
-    let _l = CHAOS_LOCK.lock();
     let _g = ChaosGuard::plan(FaultPlan::seeded(7).with_cas_failures(0.05));
     let table = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(4));
     let grid = Grid::new(4);
