@@ -1,27 +1,44 @@
-//! The broker task: coalescing, admission control, dispatch, bounded
-//! retry, and reply routing.
+//! The broker: coalescing, admission control, dispatch, bounded retry, and
+//! reply routing.
 //!
-//! One broker thread owns the receive side of the bounded submission queue.
-//! Each cycle it drains up to [`BrokerConfig::max_batch`] envelopes, runs the
-//! admission pass (deadlines first, then the circuit breaker, then the
-//! allocator-headroom write shed), executes the surviving requests as one
-//! warp-shaped batch on the persistent executor pool, and routes every
-//! result back over its envelope's reply channel. Under the block policy,
-//! retryable failures are re-dispatched with the table's own recovery pass
-//! between rounds — bounded by [`BrokerConfig::max_dispatch_attempts`] and by
-//! each request's deadline, never by spinning.
+//! The receive side of the bounded submission queue and the broker's run
+//! state sit behind one lock, the *pass lock*. A *pass* under it drains up
+//! to [`BrokerConfig::max_batch`] envelopes, runs the admission pass
+//! (deadlines first, then the circuit breaker, then the allocator-headroom
+//! write shed), executes the surviving requests as one warp-shaped batch
+//! on the persistent executor pool, and routes every result back over its
+//! envelope's reply channel. Under the block policy, retryable failures are
+//! re-dispatched with the table's own recovery pass between rounds —
+//! bounded by [`BrokerConfig::max_dispatch_attempts`] and by each request's
+//! deadline, never by spinning.
+//!
+//! Which thread runs a pass: the one that waits. A caller about to block on
+//! its reply takes the pass lock and runs the pass itself (flat
+//! combining), so a closed-loop request on a free lock costs no thread
+//! wake-up. If another thread holds the lock, the caller blocks on its
+//! reply; the holder re-checks the queue when it releases the lock, runs
+//! one more pass for what was queued meanwhile, and unparks the broker
+//! thread if work is still left. The broker thread is otherwise woken only
+//! by open-loop submits ([`ClientHandle::submit`]) and handle drops; on its
+//! `idle_tick` it drains the queue and runs idle housekeeping, the
+//! backstop. The pass is the same code whichever thread runs it, and a
+//! pass that panics is contained: its envelopes and the queue are dropped,
+//! so every outstanding ticket resolves `BrokerGone` and later submits
+//! fail with `BrokerGone`.
 //!
 //! Degradation order under pressure is deliberate: writes are shed first
 //! (they consume slabs; reads do not), reads keep flowing until the queue
 //! itself fills, and every refusal is a typed reply — clients always learn
 //! the fate of their request.
 
+use std::any::Any;
 use std::io;
 use std::net::SocketAddr;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread;
+use std::sync::atomic::{fence, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, TryLockError};
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use simt::telemetry::{
@@ -103,12 +120,14 @@ pub struct BrokerConfig {
     pub partition_threshold: usize,
     /// Circuit-breaker tuning.
     pub breaker: BreakerConfig,
-    /// How long an idle broker sleeps between housekeeping checks.
+    /// How long the broker thread parks when nothing wakes it: the idle
+    /// housekeeping period, and the backstop that drains envelopes no
+    /// waiting caller picked up.
     pub idle_tick: Duration,
     /// Grid to dispatch on; `None` builds a pooled grid sized to the host.
     pub grid: Option<Grid>,
-    /// Fault plan installed on the broker thread (inherited by its
-    /// launches), for chaos soaks.
+    /// Fault plan installed for each batch (inherited by its launches), on
+    /// a stream numbered by the batch, for chaos soaks.
     pub chaos: Option<FaultPlan>,
 }
 
@@ -148,7 +167,8 @@ impl std::fmt::Debug for BrokerConfig {
     }
 }
 
-/// A running ingress broker: the owning handle for the broker thread.
+/// A running ingress broker: the owning handle for its shared state and
+/// the broker thread.
 ///
 /// Create with [`Broker::spawn`], mint client handles with
 /// [`Broker::handle`], and stop with [`Broker::shutdown`] to collect the
@@ -156,7 +176,7 @@ impl std::fmt::Debug for BrokerConfig {
 #[derive(Debug)]
 pub struct Broker {
     tx: Option<mpsc::SyncSender<Envelope>>,
-    depth: Arc<AtomicUsize>,
+    core: Arc<dyn Core>,
     thread: Option<thread::JoinHandle<IngressStats>>,
     queue_capacity: usize,
     default_deadline: Duration,
@@ -166,13 +186,16 @@ pub struct Broker {
 }
 
 impl Broker {
-    /// Spawns the broker thread over `table`.
+    /// Builds the broker over `table` and spawns the broker thread.
     ///
     /// The active telemetry session (if any) is captured from the *calling*
-    /// thread, so launches dispatched by the broker land in the caller's
-    /// trace. Likewise `cfg.chaos` (if set) is installed on the broker
-    /// thread, so chaos soaks inject faults into broker-dispatched batches
-    /// without touching the rest of the process.
+    /// thread, and each batch runs inside it, so launches a batch
+    /// dispatches land in the caller's trace whichever thread runs the
+    /// pass (idle housekeeping stays out of the trace). Likewise
+    /// `cfg.chaos` (if set) is installed for each batch on a stream
+    /// numbered by the batch, so chaos soaks inject faults into
+    /// broker-dispatched batches only, and a fixed seed replays no matter
+    /// which thread ran each batch.
     pub fn spawn<L, A>(table: Arc<SlabHash<L, A>>, cfg: BrokerConfig) -> Self
     where
         L: EntryLayout,
@@ -180,23 +203,48 @@ impl Broker {
     {
         let capacity = cfg.queue_capacity.max(1);
         let default_deadline = cfg.default_deadline;
+        let idle_tick = cfg.idle_tick;
         let (tx, rx) = mpsc::sync_channel::<Envelope>(capacity);
-        let depth = Arc::new(AtomicUsize::new(0));
-        let depth_for_broker = Arc::clone(&depth);
         let registry = Arc::new(MetricsRegistry::new());
-        let registry_for_broker = Arc::clone(&registry);
-        // `current_session` is thread-local: capture here, on the spawning
-        // thread, and move the handle into the broker.
-        let session = simt::telemetry::current_session();
+        let grid = cfg.grid.clone().unwrap_or_else(|| {
+            Grid::new(thread::available_parallelism().map_or(4, |n| n.get().min(8)))
+        });
+        let shard_map = table.shard_map(grid.num_threads() as u32);
+        let shards = shard_map.num_shards() as usize;
+        let run = BrokerRun {
+            breaker: CircuitBreaker::new(cfg.breaker),
+            breaker_billed: [0; 3],
+            batch: BatchBuffer::with_capacity(cfg.max_batch.max(1)),
+            metrics: IngressMetrics::register(&registry, shards),
+            shard_map,
+            shard_depth: vec![0; shards],
+            shard_live: vec![0; shards],
+            table,
+            cfg,
+            grid,
+            // `current_session` is thread-local: capture it here, on the
+            // spawning thread; each batch enters it.
+            session: simt::telemetry::current_session(),
+            stats: IngressStats::default(),
+            batch_seq: 0,
+            idle_seq: 0,
+        };
+        run.refresh_gauges(0);
+        let shared = Arc::new(Shared {
+            depth: AtomicUsize::new(0),
+            broker: OnceLock::new(),
+            panic: Mutex::new(None),
+            state: Mutex::new(PassState { rx: Some(rx), run }),
+        });
+        let for_thread = Arc::clone(&shared);
         let thread = thread::Builder::new()
             .name("slab-ingress-broker".into())
-            .spawn(move || {
-                run_broker(table, cfg, rx, depth_for_broker, session, registry_for_broker)
-            })
+            .spawn(move || run_broker(&for_thread, idle_tick))
             .expect("spawn ingress broker thread");
+        let _ = shared.broker.set(thread.thread().clone());
         Self {
             tx: Some(tx),
-            depth,
+            core: shared,
             thread: Some(thread),
             queue_capacity: capacity,
             default_deadline,
@@ -249,7 +297,7 @@ impl Broker {
     pub fn handle(&self) -> ClientHandle {
         ClientHandle::new(
             self.tx.clone().expect("broker sender alive until shutdown"),
-            Arc::clone(&self.depth),
+            Arc::clone(&self.core),
             self.default_deadline,
             self.queue_capacity,
         )
@@ -257,7 +305,17 @@ impl Broker {
 
     /// Requests currently sitting in the submission queue (approximate).
     pub fn queue_depth(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
+        self.core.depth().load(Ordering::Relaxed)
+    }
+
+    /// Drops the broker's own sender and joins the broker thread, which
+    /// exits once the queue is drained and every handle is gone.
+    fn join(&mut self) -> Option<thread::Result<IngressStats>> {
+        self.tx.take();
+        let thread = self.thread.take()?;
+        // Wake it now rather than on its next idle tick.
+        thread.thread().unpark();
+        Some(thread.join())
     }
 
     /// Stops the broker and returns its lifetime stats.
@@ -265,14 +323,11 @@ impl Broker {
     /// The broker drains and answers everything already queued, then exits
     /// once every [`ClientHandle`] has been dropped — outstanding handles
     /// keep the queue open, so drop them (or their owning threads must
-    /// finish) before calling this.
+    /// finish) before calling this. Panics if a broker pass panicked.
     pub fn shutdown(mut self) -> IngressStats {
-        self.tx.take();
         let stats = self
-            .thread
-            .take()
-            .expect("broker thread joined once")
             .join()
+            .expect("broker thread joined once")
             .expect("ingress broker thread panicked");
         // Stop the snapshot writer after the broker has drained, so its
         // final JSONL line captures the end-of-life registry state.
@@ -288,12 +343,9 @@ impl Broker {
 
 impl Drop for Broker {
     fn drop(&mut self) {
-        self.tx.take();
-        if let Some(thread) = self.thread.take() {
-            // Propagating a broker panic out of drop would abort; surfacing
-            // it via `shutdown` is the supported path.
-            let _ = thread.join();
-        }
+        // Propagating a broker panic out of drop would abort; surfacing it
+        // via `shutdown` is the supported path.
+        let _ = self.join();
         // Same teardown order as `shutdown`: stop the snapshot writer after
         // the broker has drained (so its final line sees end-of-life state),
         // then the exporter. Explicit, not left to field-drop order: drop
@@ -306,6 +358,176 @@ impl Drop for Broker {
             exporter.shutdown();
         }
     }
+}
+
+/// High bit of an idle housekeeping pass's chaos stream; batches use the
+/// streams below it.
+const IDLE_STREAMS: u32 = 1 << 31;
+
+/// What one attempt at a broker pass found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Pass {
+    /// Another thread holds the pass lock; it re-checks the queue when it
+    /// releases the lock.
+    Busy,
+    /// This thread ran the pass (which may have found the queue empty).
+    Ran,
+    /// The broker is finished: every sender is gone and the queue is
+    /// drained, or a pass panicked.
+    Closed,
+}
+
+/// The broker's shared state as client handles and tickets see it,
+/// type-erased so they need not name the table's type parameters.
+pub(crate) trait Core: Send + Sync {
+    /// Envelopes in the submission queue: incremented before the send,
+    /// decremented at drain.
+    fn depth(&self) -> &AtomicUsize;
+    /// Runs one pass on the calling thread unless another thread holds the
+    /// pass lock.
+    fn try_pass(&self) -> Pass;
+    /// Unparks the broker thread.
+    fn wake(&self);
+}
+
+impl std::fmt::Debug for dyn Core {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Core")
+            .field("depth", self.depth())
+            .finish_non_exhaustive()
+    }
+}
+
+impl dyn Core {
+    /// Runs a pass on the calling thread, which is about to block on a
+    /// reply, and returns `false` if another thread holds the pass lock.
+    ///
+    /// The caller enqueued before calling, and a thread releasing the lock
+    /// re-checks the queue after it: both sides order their write before
+    /// their read with a SeqCst fence, so either the caller finds the lock
+    /// free or the releaser sees its envelope. The releaser serves one more
+    /// pass for what was queued meanwhile (a busy lock means another holder
+    /// will re-check), then unparks the broker thread if anything is still
+    /// queued, so no envelope is stranded.
+    pub(crate) fn help(&self) -> bool {
+        fence(Ordering::SeqCst);
+        if self.try_pass() == Pass::Busy {
+            return false;
+        }
+        if queued(self.depth()) && self.try_pass() == Pass::Ran && queued(self.depth()) {
+            self.wake();
+        }
+        true
+    }
+}
+
+/// Whether anything is queued, read after a SeqCst fence: the releasing
+/// side of the enqueue/pass-lock handshake.
+fn queued(depth: &AtomicUsize) -> bool {
+    fence(Ordering::SeqCst);
+    depth.load(Ordering::SeqCst) > 0
+}
+
+/// Everything the broker's passes share, whichever thread runs them.
+struct Shared<L: EntryLayout, A: SlabAllocator> {
+    depth: AtomicUsize,
+    /// The broker thread, set once it is spawned.
+    broker: OnceLock<Thread>,
+    /// A panicked pass's payload, rethrown by the broker thread so
+    /// [`Broker::shutdown`] reports it.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// The pass lock.
+    state: Mutex<PassState<L, A>>,
+}
+
+struct PassState<L: EntryLayout, A: SlabAllocator> {
+    /// The queue's receive side; `None` once a pass has panicked, which
+    /// drops every queued envelope (their tickets resolve `BrokerGone`) and
+    /// fails later sends.
+    rx: Option<mpsc::Receiver<Envelope>>,
+    run: BrokerRun<L, A>,
+}
+
+impl<L, A> Shared<L, A>
+where
+    L: EntryLayout,
+    A: SlabAllocator + Send + Sync + 'static,
+{
+    /// One pass under the pass lock; `idle` (the broker thread) also runs
+    /// idle housekeeping when the queue is empty. A panicking pass is
+    /// contained here: it never unwinds into the caller.
+    fn pass(&self, idle: bool) -> Pass {
+        let mut state = match self.state.try_lock() {
+            Ok(state) => state,
+            Err(TryLockError::WouldBlock) => return Pass::Busy,
+            Err(TryLockError::Poisoned(_)) => return Pass::Closed,
+        };
+        let state = &mut *state;
+        let Some(rx) = &state.rx else {
+            return Pass::Closed;
+        };
+        let run = &mut state.run;
+        match panic::catch_unwind(AssertUnwindSafe(|| run.pass(rx, &self.depth, idle))) {
+            Ok(pass) => pass,
+            Err(payload) => {
+                state.rx = None;
+                *self.panic.lock().expect("payload slot never poisoned") = Some(payload);
+                self.wake();
+                Pass::Closed
+            }
+        }
+    }
+}
+
+impl<L, A> Core for Shared<L, A>
+where
+    L: EntryLayout,
+    A: SlabAllocator + Send + Sync + 'static,
+{
+    fn depth(&self) -> &AtomicUsize {
+        &self.depth
+    }
+
+    fn try_pass(&self) -> Pass {
+        self.pass(false)
+    }
+
+    fn wake(&self) {
+        if let Some(broker) = self.broker.get() {
+            broker.unpark();
+        }
+    }
+}
+
+/// The broker thread: drains while anything is queued, otherwise parks
+/// until woken or `idle_tick` passes, running idle housekeeping on each
+/// empty pass. Exits once every sender is gone and the queue is drained.
+fn run_broker<L, A>(shared: &Shared<L, A>, idle_tick: Duration) -> IngressStats
+where
+    L: EntryLayout,
+    A: SlabAllocator + Send + Sync + 'static,
+{
+    loop {
+        let pass = shared.pass(true);
+        if pass == Pass::Closed {
+            break;
+        }
+        // A busy pass's holder re-checks the queue when it releases.
+        if pass == Pass::Busy || !queued(&shared.depth) {
+            thread::park_timeout(idle_tick);
+        }
+    }
+    let panicked = shared
+        .panic
+        .lock()
+        .expect("payload slot never poisoned")
+        .take();
+    if let Some(payload) = panicked {
+        panic::resume_unwind(payload);
+    }
+    let mut state = shared.state.lock().expect("passes contain their panics");
+    state.run.refresh_gauges(0);
+    std::mem::take(&mut state.run.stats)
 }
 
 /// Writes consume slabs; searches only read. The shed and breaker paths key
@@ -343,72 +565,50 @@ struct BrokerRun<L: EntryLayout, A: SlabAllocator> {
     /// minus deletes). Signed: deletes of pre-loaded keys go negative, and
     /// the gauge clamps at zero.
     shard_live: Vec<i64>,
+    /// Batches drained so far: each batch's chaos stream.
+    batch_seq: u32,
+    /// Idle housekeeping passes so far: their chaos streams, kept apart
+    /// from the batches' so idle timing never shifts a batch's faults.
+    idle_seq: u32,
 }
 
-fn run_broker<L, A>(
-    table: Arc<SlabHash<L, A>>,
-    cfg: BrokerConfig,
-    rx: mpsc::Receiver<Envelope>,
-    depth: Arc<AtomicUsize>,
-    session: Option<SessionHandle>,
-    registry: Arc<MetricsRegistry>,
-) -> IngressStats
-where
-    L: EntryLayout,
-    A: SlabAllocator + Send + Sync + 'static,
-{
-    // Installed for the broker thread's lifetime: launches dispatched from
-    // here inherit the plan, so chaos soaks fault broker batches only.
-    let _chaos = cfg.chaos.map(ChaosGuard::plan);
-    let grid = cfg.grid.clone().unwrap_or_else(|| {
-        Grid::new(thread::available_parallelism().map_or(4, |n| n.get().min(8)))
-    });
-    let shard_map = table.shard_map(grid.num_threads() as u32);
-    let shards = shard_map.num_shards() as usize;
-    let mut run = BrokerRun {
-        breaker: CircuitBreaker::new(cfg.breaker),
-        breaker_billed: [0; 3],
-        batch: BatchBuffer::with_capacity(cfg.max_batch.max(1)),
-        metrics: IngressMetrics::register(&registry, shards),
-        shard_map,
-        shard_depth: vec![0; shards],
-        shard_live: vec![0; shards],
-        table,
-        cfg,
-        grid,
-        session,
-        stats: IngressStats::default(),
-    };
-    let mut envelopes: Vec<Envelope> = Vec::with_capacity(run.cfg.max_batch.max(1));
-    run.refresh_gauges(0);
-
-    loop {
-        // Block (briefly) for the first envelope; Disconnected means every
-        // sender is gone AND the buffer is drained — `sync_channel` delivers
-        // buffered messages before reporting disconnect, so no queued
-        // request is ever dropped on shutdown.
-        match rx.recv_timeout(run.cfg.idle_tick) {
-            Ok(env) => {
-                depth.fetch_sub(1, Ordering::Relaxed);
-                envelopes.push(env);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                run.idle_housekeeping();
-                run.refresh_gauges(depth.load(Ordering::Relaxed));
-                continue;
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-        }
-        // Opportunistically coalesce whatever else is already queued.
-        while envelopes.len() < run.cfg.max_batch.max(1) {
+impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
+    /// One broker pass, the same whichever thread runs it: drain up to
+    /// `max_batch` envelopes, then admission, dispatch, retry and reply.
+    /// With nothing queued, `idle` runs idle housekeeping instead.
+    fn pass(&mut self, rx: &mpsc::Receiver<Envelope>, depth: &AtomicUsize, idle: bool) -> Pass {
+        let mut envelopes: Vec<Envelope> = Vec::new();
+        while envelopes.len() < self.cfg.max_batch.max(1) {
             match rx.try_recv() {
                 Ok(env) => {
-                    depth.fetch_sub(1, Ordering::Relaxed);
+                    depth.fetch_sub(1, Ordering::SeqCst);
                     envelopes.push(env);
+                }
+                // Disconnected means every sender is gone AND the buffer is
+                // drained — buffered envelopes are delivered first, so no
+                // queued request is ever dropped on shutdown.
+                Err(mpsc::TryRecvError::Disconnected) if envelopes.is_empty() => {
+                    return Pass::Closed;
                 }
                 Err(_) => break,
             }
         }
+        if envelopes.is_empty() {
+            if idle {
+                self.idle_seq = self.idle_seq.wrapping_add(1);
+                let _chaos = ChaosGuard::on_stream(self.cfg.chaos, IDLE_STREAMS | self.idle_seq);
+                self.idle_housekeeping();
+                self.refresh_gauges(depth.load(Ordering::Relaxed));
+            }
+            return Pass::Ran;
+        }
+        // The batch runs in the spawner's trace session whichever thread
+        // runs it. Idle housekeeping above stays out: it fires on the
+        // broker thread's timer, and a trace's logical clock should count
+        // the requests' work only.
+        let _session = SessionHandle::enter(self.session.as_ref());
+        self.batch_seq = self.batch_seq.wrapping_add(1);
+        let _chaos = ChaosGuard::on_stream(self.cfg.chaos, self.batch_seq & !IDLE_STREAMS);
         // The coalesced cohort leaves the queue here: one shared timestamp
         // closes every envelope's queue-wait stage.
         let drained_at = Instant::now();
@@ -416,21 +616,18 @@ where
             env.span.mark_at(Stage::QueueWait, drained_at);
         }
         let backlog = depth.load(Ordering::Relaxed);
-        run.stats.submitted += envelopes.len() as u64;
-        run.metrics.submitted.add(envelopes.len() as u64);
-        run.stats
+        self.stats.submitted += envelopes.len() as u64;
+        self.metrics.submitted.add(envelopes.len() as u64);
+        self.stats
             .histograms
             .queue_depth
             .record((envelopes.len() + backlog) as u64);
-        run.emit("dispatch", (envelopes.len() + backlog) as u32);
-        run.process_batch(std::mem::take(&mut envelopes));
-        run.refresh_gauges(depth.load(Ordering::Relaxed));
+        self.emit("dispatch", (envelopes.len() + backlog) as u32);
+        self.process_batch(envelopes);
+        self.refresh_gauges(depth.load(Ordering::Relaxed));
+        Pass::Ran
     }
-    run.refresh_gauges(0);
-    run.stats
-}
 
-impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
     fn emit(&self, action: &'static str, depth: u32) {
         if let Some(session) = &self.session {
             session.emit(LAUNCH_WARP, EventKind::Ingress { action, depth });
@@ -438,9 +635,8 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
     }
 
     /// Refreshes the live gauges: queue depth, allocator pressure, executor
-    /// pool, breaker state. Called once per broker cycle — gauges are
-    /// sampled, not billed, so scrape-time values are at most one idle tick
-    /// stale.
+    /// pool, breaker state. Called once per pass — gauges are sampled, not
+    /// billed, so scrape-time values are at most one idle tick stale.
     fn refresh_gauges(&self, queued: usize) {
         let m = &self.metrics;
         m.queue_depth.set(queued as u64);

@@ -4,18 +4,24 @@
 //! queue. Submission never blocks unboundedly: the non-blocking
 //! [`submit`](ClientHandle::submit) surfaces a full queue as
 //! [`IngressError::QueueFull`], and the blocking
-//! [`submit_blocking`](ClientHandle::submit_blocking) retries with jittered
-//! backoff only until the request's own deadline. Every accepted submission
-//! yields a [`Ticket`] that resolves to exactly one [`Reply`].
+//! [`submit_blocking`](ClientHandle::submit_blocking) runs a broker pass
+//! itself (or backs off with jitter while another thread runs one) only
+//! until the request's own deadline. Every accepted submission yields a
+//! [`Ticket`] that resolves to exactly one [`Reply`].
+//!
+//! The thread that waits runs the batch: [`Ticket::wait`], the `call`
+//! shapes and a blocked `submit_blocking` run the broker pass on the
+//! calling thread when no other thread is running one, and only `submit`
+//! wakes the broker thread, since its ticket may be reaped late.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use simt::telemetry::{RequestSpan, SpanReport};
 use slab_hash::{Backoff, OpKind, OpResult, Request};
 
-use crate::broker::Envelope;
+use crate::broker::{Core, Envelope};
 use crate::error::IngressError;
 
 /// Distinct jitter seed per handle, so blocked clients decorrelate.
@@ -49,33 +55,68 @@ impl Reply {
 }
 
 /// A claim on one future [`Reply`].
+///
+/// Waiting on a ticket runs broker passes on the waiting thread when no
+/// other thread is running one, so the thread that waits is usually the
+/// thread that executes the batch.
 #[derive(Debug)]
 pub struct Ticket {
-    pub(crate) rx: mpsc::Receiver<Reply>,
+    rx: mpsc::Receiver<Reply>,
+    core: Arc<dyn Core>,
 }
 
 impl Ticket {
-    /// Blocks until the reply arrives. A broker that died without answering
-    /// resolves to [`IngressError::BrokerGone`] — the ticket always yields
-    /// exactly one reply.
+    /// Blocks until the reply arrives, running broker passes meanwhile if no
+    /// other thread is. A broker that died without answering resolves to
+    /// [`IngressError::BrokerGone`] — the ticket always yields exactly one
+    /// reply.
     pub fn wait(self) -> Reply {
-        self.rx.recv().unwrap_or_else(|_| Reply::gone())
+        loop {
+            if let Some(reply) = self.poll() {
+                return reply;
+            }
+            if !self.core.help() {
+                // The pass-lock holder re-checks the queue on release, so
+                // this envelope will be served: block until it is.
+                return self.rx.recv().unwrap_or_else(|_| Reply::gone());
+            }
+        }
     }
 
-    /// Blocks until the reply arrives or `deadline` passes; `None` means the
+    /// Blocks until the reply arrives or `deadline` passes, running broker
+    /// passes meanwhile as [`wait`](Self::wait) does; `None` means the
     /// reply is still pending (it will still be produced — the broker's
     /// deadline machinery turns it into a timeout error if the budget runs
     /// out).
     pub fn wait_deadline(&self, deadline: Instant) -> Option<Reply> {
-        match self.rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-            Ok(reply) => Some(reply),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => Some(Reply::gone()),
+        loop {
+            if let Some(reply) = self.poll() {
+                return Some(reply);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return None;
+            }
+            if !self.core.help() {
+                return match self.rx.recv_timeout(deadline - now) {
+                    Ok(reply) => Some(reply),
+                    Err(mpsc::RecvTimeoutError::Timeout) => None,
+                    Err(mpsc::RecvTimeoutError::Disconnected) => Some(Reply::gone()),
+                };
+            }
         }
     }
 
-    /// Non-blocking poll for the reply.
+    /// Non-blocking attempt: runs one broker pass on this thread if no
+    /// other thread is running one, then polls for the reply.
     pub fn try_reply(&self) -> Option<Reply> {
+        self.poll().or_else(|| {
+            self.core.help();
+            self.poll()
+        })
+    }
+
+    fn poll(&self) -> Option<Reply> {
         match self.rx.try_recv() {
             Ok(reply) => Some(reply),
             Err(mpsc::TryRecvError::Empty) => None,
@@ -90,35 +131,46 @@ impl Ticket {
 /// is what lets the broker drain and exit.
 #[derive(Debug)]
 pub struct ClientHandle {
-    pub(crate) tx: mpsc::SyncSender<Envelope>,
-    pub(crate) depth: Arc<AtomicUsize>,
-    pub(crate) default_deadline: Duration,
-    pub(crate) capacity: usize,
+    tx: mpsc::SyncSender<Envelope>,
+    core: Link,
+    default_deadline: Duration,
+    capacity: usize,
     client_id: u64,
+}
+
+/// A handle's link to the broker core. Declared after the sender, so it
+/// drops after it and wakes the broker thread, which exits once the last
+/// sender is gone.
+#[derive(Debug)]
+struct Link(Arc<dyn Core>);
+
+impl Drop for Link {
+    fn drop(&mut self) {
+        self.0.wake();
+    }
 }
 
 impl Clone for ClientHandle {
     fn clone(&self) -> Self {
-        Self {
-            tx: self.tx.clone(),
-            depth: Arc::clone(&self.depth),
-            default_deadline: self.default_deadline,
-            capacity: self.capacity,
-            client_id: NEXT_CLIENT.fetch_add(1, Ordering::Relaxed),
-        }
+        Self::new(
+            self.tx.clone(),
+            Arc::clone(&self.core.0),
+            self.default_deadline,
+            self.capacity,
+        )
     }
 }
 
 impl ClientHandle {
     pub(crate) fn new(
         tx: mpsc::SyncSender<Envelope>,
-        depth: Arc<AtomicUsize>,
+        core: Arc<dyn Core>,
         default_deadline: Duration,
         capacity: usize,
     ) -> Self {
         Self {
             tx,
-            depth,
+            core: Link(core),
             default_deadline,
             capacity,
             client_id: NEXT_CLIENT.fetch_add(1, Ordering::Relaxed),
@@ -137,7 +189,7 @@ impl ClientHandle {
 
     /// Requests currently sitting in the submission queue (approximate).
     pub fn queue_depth(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
+        self.core.0.depth().load(Ordering::Relaxed)
     }
 
     fn envelope(
@@ -165,69 +217,93 @@ impl ClientHandle {
         ))
     }
 
+    fn ticket(&self, rx: mpsc::Receiver<Reply>) -> Ticket {
+        Ticket {
+            rx,
+            core: Arc::clone(&self.core.0),
+        }
+    }
+
+    /// One non-blocking send of the envelope in `env`, without waking the
+    /// broker thread; on a full queue the envelope stays in `env` for a
+    /// retry. The depth gauge is incremented *before* the send: a drain
+    /// can only follow the send, so the gauge never goes negative, and a
+    /// waiter's SeqCst increment is what a releasing pass-lock holder
+    /// re-checks. A failed send undoes the increment.
+    fn try_enqueue(&self, env: &mut Option<Envelope>) -> Result<(), IngressError> {
+        let depth = self.core.0.depth();
+        depth.fetch_add(1, Ordering::SeqCst);
+        let sent = self.tx.try_send(env.take().expect("an envelope to send"));
+        sent.map_err(|e| {
+            depth.fetch_sub(1, Ordering::SeqCst);
+            match e {
+                mpsc::TrySendError::Full(back) => {
+                    *env = Some(back);
+                    IngressError::QueueFull {
+                        capacity: self.capacity,
+                    }
+                }
+                mpsc::TrySendError::Disconnected(_) => IngressError::BrokerGone,
+            }
+        })
+    }
+
+    /// Non-blocking submit without waking the broker thread, for a caller
+    /// that will wait on the ticket and so run the pass itself.
+    pub(crate) fn enqueue(&self, req: Request, budget: Duration) -> Result<Ticket, IngressError> {
+        let (env, rx) = self.envelope(req, budget)?;
+        self.try_enqueue(&mut Some(env))?;
+        Ok(self.ticket(rx))
+    }
+
     /// Non-blocking submit with the default deadline budget: enqueue or fail
     /// fast with [`IngressError::QueueFull`].
     pub fn submit(&self, req: Request) -> Result<Ticket, IngressError> {
         self.submit_with_deadline(req, self.default_deadline)
     }
 
-    /// Non-blocking submit with an explicit deadline budget.
+    /// Non-blocking submit with an explicit deadline budget. The ticket may
+    /// be reaped late, so this wakes the broker thread to serve it.
     pub fn submit_with_deadline(
         &self,
         req: Request,
         budget: Duration,
     ) -> Result<Ticket, IngressError> {
-        let (env, rx) = self.envelope(req, budget)?;
-        // Increment *before* the send: the broker decrements after receiving,
-        // and a receive can only follow the send, so the gauge never goes
-        // negative. A failed send just undoes the increment.
-        self.depth.fetch_add(1, Ordering::Relaxed);
-        match self.tx.try_send(env) {
-            Ok(()) => Ok(Ticket { rx }),
-            Err(mpsc::TrySendError::Full(_)) => {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-                Err(IngressError::QueueFull {
-                    capacity: self.capacity,
-                })
-            }
-            Err(mpsc::TrySendError::Disconnected(_)) => {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
-                Err(IngressError::BrokerGone)
-            }
-        }
+        let ticket = self.enqueue(req, budget)?;
+        self.core.0.wake();
+        Ok(ticket)
     }
 
-    /// Blocking submit: retries a full queue with jittered exponential
-    /// backoff until the request's own deadline budget runs out — the
-    /// closed-loop client's natural backpressure. Never blocks past the
-    /// deadline.
+    /// Blocking submit: a full queue is work this thread can do, so it runs
+    /// a broker pass itself, and backs off with jitter only while another
+    /// thread is running one — until the request's own deadline budget runs
+    /// out. The closed-loop client's natural backpressure; never blocks past
+    /// the deadline. Does not wake the broker thread: the caller is
+    /// expected to wait on the ticket.
     pub fn submit_blocking(&self, req: Request, budget: Duration) -> Result<Ticket, IngressError> {
-        let (mut env, rx) = self.envelope(req, budget)?;
+        let (env, rx) = self.envelope(req, budget)?;
+        let deadline = env.deadline;
+        let mut env = Some(env);
         let mut backoff = Backoff::new(self.client_id);
         loop {
-            // Same increment-first discipline as `submit_with_deadline`, so
-            // the broker-side decrement can never underflow the gauge.
-            self.depth.fetch_add(1, Ordering::Relaxed);
-            match self.tx.try_send(env) {
-                Ok(()) => return Ok(Ticket { rx }),
-                Err(mpsc::TrySendError::Full(returned)) => {
-                    self.depth.fetch_sub(1, Ordering::Relaxed);
-                    if Instant::now() >= returned.deadline {
+            match self.try_enqueue(&mut env) {
+                Ok(()) => return Ok(self.ticket(rx)),
+                Err(IngressError::QueueFull { .. }) => {
+                    if Instant::now() >= deadline {
                         return Err(IngressError::DeadlineExceeded { budget });
                     }
-                    env = returned;
-                    backoff.wait();
+                    if !self.core.0.help() {
+                        backoff.wait();
+                    }
                 }
-                Err(mpsc::TrySendError::Disconnected(_)) => {
-                    self.depth.fetch_sub(1, Ordering::Relaxed);
-                    return Err(IngressError::BrokerGone);
-                }
+                Err(e) => return Err(e),
             }
         }
     }
 
     /// Submit (blocking, bounded by the budget) and wait for the reply
-    /// within the same budget. The closed-loop call shape.
+    /// within the same budget — running the broker pass on this thread when
+    /// no other thread is. The closed-loop call shape.
     pub fn call_with_deadline(
         &self,
         req: Request,

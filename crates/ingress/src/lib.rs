@@ -2,15 +2,19 @@
 //!
 //! This crate turns the batch-oriented [`SlabHash`](slab_hash::SlabHash)
 //! into a service: many concurrent clients submit point operations over a
-//! bounded queue, one broker thread coalesces them into warp-shaped batches,
+//! bounded queue, a broker pass coalesces them into warp-shaped batches,
 //! dispatches on the persistent executor pool, and routes a typed reply back
-//! to each client. The interesting part is what happens past saturation —
-//! every overload mechanism degrades gracefully instead of collapsing:
+//! to each client. The thread that waits runs the pass: a client blocking on
+//! its reply runs the pass itself when no other thread is, so a closed-loop
+//! request costs no thread wake-up; the broker thread is woken only for
+//! open-loop submits and otherwise drains on its idle tick as a backstop.
+//! The interesting part is what happens past saturation — every overload
+//! mechanism degrades gracefully instead of collapsing:
 //!
 //! * **Bounded queues** — submission is `try_send` onto a fixed-capacity
 //!   channel; a full queue is a fast [`IngressError::QueueFull`], and the
-//!   blocking variant backs off with jitter only until the request's own
-//!   deadline.
+//!   blocking variant runs a broker pass itself (or backs off while another
+//!   thread runs one) only until the request's own deadline.
 //! * **Deadlines** — every request carries a budget. The broker refuses to
 //!   dispatch expired requests ([`IngressError::DeadlineExceeded`]), so a
 //!   timed-out write was *never applied*.

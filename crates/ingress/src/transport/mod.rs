@@ -2,9 +2,9 @@
 //!
 //! Three pieces, layered on the [`wire`](crate::wire) protocol:
 //!
-//! * [`WireServer`] — a framed TCP server: supervisor accept loop,
-//!   per-connection reader/writer workers backed by
-//!   [`ClientHandle`](crate::ClientHandle)s, connection/inflight caps, idle
+//! * [`WireServer`] — a framed TCP server: supervisor accept loop, one
+//!   thread per connection backed by a
+//!   [`ClientHandle`](crate::ClientHandle), connection/inflight caps, idle
 //!   timeouts, and graceful drain shutdown;
 //! * [`WireClient`] — a reconnecting client: jittered capped redials,
 //!   socket deadlines mapped onto per-request budgets, every failure a

@@ -1,10 +1,15 @@
-//! The framed TCP server: a supervisor accept loop plus per-connection
-//! reader/writer workers bridging sockets onto [`ClientHandle`]s.
+//! The framed TCP server: a supervisor accept loop plus one thread per
+//! connection bridging its socket onto a [`ClientHandle`].
 //!
 //! Topology: one supervisor thread owns the listener. Each accepted
-//! connection gets a reader thread (decode frames, enforce the inflight
-//! cap, submit onto the broker) and a writer thread (wait tickets in order,
-//! encode replies). The broker's exactly-one-reply contract extends over
+//! connection gets one thread that reads, decodes that read's frames,
+//! submits them onto the broker (up to the inflight cap) without waking the
+//! broker thread, then waits their tickets in order and writes the
+//! replies. Waiting a ticket runs the broker pass on the waiting thread
+//! when no other thread is running one, so a request usually crosses no
+//! thread hand-off between socket and table.
+//!
+//! The broker's exactly-one-reply contract extends over
 //! the wire: every decoded request produces exactly one reply frame — a
 //! table result, a typed ingress error, or a typed transport refusal — and
 //! connection-level rejections (`max_connections`, drain, poisoned framing)
@@ -13,10 +18,10 @@
 //! Degradation is deliberate, mirroring the broker:
 //!
 //! * at `max_connections`, new connections get `Reject(MaxConnections)`;
-//! * past the per-connection inflight cap, requests get
+//! * past the inflight cap within one read, requests get
 //!   `Refused(InflightCap)` without touching the broker;
-//! * idle connections (no inflight work, no bytes) are closed after
-//!   `idle_timeout` and counted;
+//! * idle connections (no bytes received; nothing is in flight while a
+//!   connection reads) are closed after `idle_timeout` and counted;
 //! * [`shutdown`](WireServer::shutdown) is a graceful drain — stop
 //!   accepting, stop reading, answer everything in flight, then close.
 //!
@@ -24,10 +29,10 @@
 //! keep the broker's queue open — drain the server *before* calling
 //! [`Broker::shutdown`](crate::Broker::shutdown).
 
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -35,7 +40,7 @@ use simt::telemetry::{Counter, GaugeMetric, MetricsRegistry};
 
 use crate::broker::Broker;
 use crate::client::{ClientHandle, Ticket};
-use crate::transport::fault::{WireFaultPlan, WriteOutcome};
+use crate::transport::fault::{FaultInjector, WireFaultPlan, WriteOutcome};
 use crate::wire::{
     write_frame, Frame, FrameBuffer, Refusal, RejectReason, ReplyBody, WireReply,
 };
@@ -46,15 +51,16 @@ pub struct WireServerConfig {
     /// Most simultaneous connections; excess accepts are answered with a
     /// typed `Reject(MaxConnections)` and closed.
     pub max_connections: usize,
-    /// Most broker-submitted requests in flight per connection; excess
+    /// Most requests one read may submit to the broker (a connection waits
+    /// out one read's requests before reading again); the read's excess
     /// requests are answered with `Refused(InflightCap)` without touching
     /// the broker.
     pub max_inflight: usize,
-    /// Connections with no inflight work and no received bytes for this
-    /// long are closed (and counted as idle-closed).
+    /// Connections that receive no bytes for this long are closed (and
+    /// counted as idle-closed).
     pub idle_timeout: Duration,
-    /// Read-slice granularity: how often a blocked reader wakes to check
-    /// idle/drain state. Bounds drain latency.
+    /// Read-slice granularity: how often a connection blocked in a read
+    /// wakes to check idle/drain state. Bounds drain latency.
     pub tick: Duration,
     /// Server-side transport fault plan (torn/stalled/dropped reply
     /// writes), for chaos tests.
@@ -147,8 +153,8 @@ struct Shared {
     open: AtomicUsize,
     /// Total inflight count backing the gauge.
     inflight: AtomicUsize,
-    /// Read-side clones of every live connection's stream, so drain can
-    /// interrupt blocked readers and abort can hard-close.
+    /// Clones of every live connection's stream, so drain can interrupt
+    /// blocked reads and abort can hard-close.
     conns: Mutex<Vec<(u64, TcpStream)>>,
     cfg: WireServerConfig,
     next_conn_id: AtomicU64,
@@ -249,7 +255,7 @@ impl WireServer {
 
     /// Graceful drain: stop accepting, stop reading new requests, answer
     /// everything already in flight, then close every connection and join
-    /// all workers.
+    /// its thread.
     pub fn shutdown(mut self) {
         self.stop(false);
     }
@@ -272,8 +278,8 @@ impl WireServer {
         self.shared.drain.store(true, Ordering::SeqCst);
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        // Interrupt every blocked reader: drain lets writes finish, abort
-        // closes both directions.
+        // Interrupt every blocked read: drain lets in-flight replies be
+        // written, abort closes both directions.
         let how = if hard { Shutdown::Both } else { Shutdown::Read };
         for (_, stream) in self.shared.conns.lock().unwrap().iter() {
             let _ = stream.shutdown(how);
@@ -288,8 +294,8 @@ impl Drop for WireServer {
     }
 }
 
-/// The accept loop: spawn a connection worker per accept, reject past the
-/// cap, reap finished workers, join everything on drain.
+/// The accept loop: spawn a connection thread per accept, reject past the
+/// cap, reap finished threads, join everything on drain.
 fn supervise(listener: TcpListener, handle: ClientHandle, shared: Arc<Shared>) {
     let mut workers: Vec<thread::JoinHandle<()>> = Vec::new();
     for accepted in listener.incoming() {
@@ -322,7 +328,7 @@ fn supervise(listener: TcpListener, handle: ClientHandle, shared: Arc<Shared>) {
         let worker = thread::Builder::new()
             .name(format!("slab-wire-conn-{conn_id}"))
             .spawn(move || {
-                serve_connection(stream, conn_id, conn_handle, Arc::clone(&conn_shared));
+                serve_connection(stream, conn_id, &conn_handle, &conn_shared);
                 conn_shared.forget_conn(conn_id);
                 conn_shared.add_open(-1);
             })
@@ -344,188 +350,139 @@ fn reject_and_close(mut stream: TcpStream, reason: RejectReason) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// What the reader hands the writer, in arrival order.
-enum Outgoing {
-    /// A broker-accepted request: wait the ticket, then reply.
-    Pending { req_id: u64, ticket: Ticket },
-    /// An immediately known answer (refusal or client-side ingress error).
-    Immediate { req_id: u64, body: ReplyBody },
-    /// The connection is poisoned; tell the peer why, then close.
-    Poison(RejectReason),
-}
-
-/// Runs one connection: reader inline, writer on a sibling thread.
-fn serve_connection(stream: TcpStream, conn_id: u64, handle: ClientHandle, shared: Arc<Shared>) {
-    let write_side = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let (tx, rx) = mpsc::channel::<Outgoing>();
-    // The writer marks the connection dead (fault injection, write errors)
-    // via this flag so the reader stops consuming a broken peer's bytes.
-    let dead = Arc::new(AtomicBool::new(false));
-    // This connection's inflight window: reader increments at submit,
-    // writer decrements at retirement.
-    let conn_inflight = Arc::new(AtomicUsize::new(0));
-    let writer_shared = Arc::clone(&shared);
-    let writer_dead = Arc::clone(&dead);
-    let writer_inflight = Arc::clone(&conn_inflight);
-    let writer = thread::Builder::new()
-        .name(format!("slab-wire-write-{conn_id}"))
-        .spawn(move || write_loop(write_side, conn_id, rx, writer_shared, writer_dead, writer_inflight))
-        .expect("spawn wire writer thread");
-    read_loop(stream, &handle, &shared, &dead, &conn_inflight, tx);
-    // Dropping the sender lets the writer drain in-flight replies and exit.
-    let _ = writer.join();
-}
-
-/// The reader half: decode frames, enforce caps, submit to the broker.
-fn read_loop(
-    mut stream: TcpStream,
-    handle: &ClientHandle,
-    shared: &Shared,
-    dead: &AtomicBool,
-    conn_inflight: &AtomicUsize,
-    tx: mpsc::Sender<Outgoing>,
-) {
+/// Runs one connection on one thread: read, decode that read's frames and
+/// submit them without waking the broker thread, wait their tickets in
+/// order — so this thread runs the broker pass — write the replies, then
+/// read again. Tickets are always waited, even once the peer is gone or
+/// the server aborts, so the inflight gauge stays exact; nothing more is
+/// written then.
+fn serve_connection(mut stream: TcpStream, conn_id: u64, handle: &ClientHandle, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(shared.cfg.tick.max(Duration::from_millis(1))));
-    let mut carry = FrameBuffer::new();
-    let mut chunk = [0u8; 4096];
-    let mut last_activity = Instant::now();
-    loop {
-        if shared.abort.load(Ordering::SeqCst)
-            || shared.drain.load(Ordering::SeqCst)
-            || dead.load(Ordering::SeqCst)
-        {
-            return;
-        }
-        use std::io::Read;
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // peer closed
-            Ok(n) => {
-                last_activity = Instant::now();
-                carry.extend(&chunk[..n]);
-                loop {
-                    match carry.next_frame() {
-                        Ok(Some(Frame::Request(wreq))) => {
-                            shared.metrics.frames_rx.inc();
-                            let outgoing = if conn_inflight.load(Ordering::Acquire)
-                                >= shared.cfg.max_inflight
-                            {
-                                shared.metrics.inflight_refused.inc();
-                                Outgoing::Immediate {
-                                    req_id: wreq.req_id,
-                                    body: ReplyBody::Refused(Refusal::InflightCap {
-                                        limit: shared.cfg.max_inflight as u64,
-                                    }),
-                                }
-                            } else if shared.drain.load(Ordering::SeqCst) {
-                                Outgoing::Immediate {
-                                    req_id: wreq.req_id,
-                                    body: ReplyBody::Refused(Refusal::Draining),
-                                }
-                            } else {
-                                match handle.submit_with_deadline(wreq.req, wreq.budget) {
-                                    Ok(ticket) => {
-                                        conn_inflight.fetch_add(1, Ordering::AcqRel);
-                                        shared.add_inflight(1);
-                                        Outgoing::Pending {
-                                            req_id: wreq.req_id,
-                                            ticket,
-                                        }
-                                    }
-                                    Err(e) => Outgoing::Immediate {
-                                        req_id: wreq.req_id,
-                                        body: ReplyBody::Ingress(e),
-                                    },
-                                }
-                            };
-                            if tx.send(outgoing).is_err() {
-                                return; // writer gone: connection is dead
-                            }
-                        }
-                        Ok(Some(_)) => {
-                            // A client sending server-only frames has lost
-                            // the plot; poison the connection.
-                            shared.metrics.decode_errors.inc();
-                            let _ = tx.send(Outgoing::Poison(RejectReason::BadFrame));
-                            return;
-                        }
-                        Ok(None) => break, // need more bytes
-                        Err(_) => {
-                            // Framing is lost; there is no resync. Typed
-                            // reject, then close.
-                            shared.metrics.decode_errors.inc();
-                            let _ = tx.send(Outgoing::Poison(RejectReason::BadFrame));
-                            return;
-                        }
-                    }
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Idle bookkeeping on the tick.
-                if conn_inflight.load(Ordering::Acquire) == 0
-                    && last_activity.elapsed() >= shared.cfg.idle_timeout
-                {
-                    shared.metrics.idle_closed.inc();
-                    return;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
-/// The writer half: retire outgoing messages in order; every `Pending`
-/// waits its ticket (the broker's deadline machinery guarantees the wait is
-/// bounded), and once the connection is known-dead the remaining tickets
-/// are still waited — so the global inflight gauge stays honest — but
-/// nothing more is written.
-fn write_loop(
-    mut stream: TcpStream,
-    conn_id: u64,
-    rx: mpsc::Receiver<Outgoing>,
-    shared: Arc<Shared>,
-    dead: Arc<AtomicBool>,
-    conn_inflight: Arc<AtomicUsize>,
-) {
-    let mut scratch = Vec::new();
     let mut injector = shared
         .cfg
         .fault
         .as_ref()
         .filter(|p| p.is_active())
         .map(|p| p.injector(conn_id));
-    let mut writable = true;
-    while let Ok(outgoing) = rx.recv() {
-        let (frame, was_pending) = match outgoing {
-            Outgoing::Pending { req_id, ticket } => {
-                let reply = ticket.wait();
-                let body = match reply.result {
-                    Ok(res) => ReplyBody::Result(res),
-                    Err(e) => ReplyBody::Ingress(e),
-                };
-                (Frame::Reply(WireReply { req_id, body }), true)
+    let mut carry = FrameBuffer::new();
+    let mut chunk = [0u8; 4096];
+    let mut scratch = Vec::new();
+    // One read's requests, in arrival order: a ticket, or an answer known
+    // without the broker (a refusal or a client-side ingress error).
+    let mut batch: Vec<(u64, Result<Ticket, ReplyBody>)> = Vec::new();
+    let mut last_activity = Instant::now();
+    loop {
+        if shared.abort.load(Ordering::SeqCst) || shared.drain.load(Ordering::SeqCst) {
+            break;
+        }
+        let n = match stream.read(&mut chunk) {
+            Ok(0) => break, // peer closed
+            Ok(n) => n,
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                // Idle bookkeeping on the tick; nothing is in flight while
+                // this thread reads.
+                if last_activity.elapsed() >= shared.cfg.idle_timeout {
+                    shared.metrics.idle_closed.inc();
+                    break;
+                }
+                continue;
             }
-            Outgoing::Immediate { req_id, body } => {
-                (Frame::Reply(WireReply { req_id, body }), false)
-            }
-            Outgoing::Poison(reason) => (Frame::Reject(reason), false),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => break,
         };
-        if was_pending {
-            conn_inflight.fetch_sub(1, Ordering::AcqRel);
-            shared.add_inflight(-1);
+        last_activity = Instant::now();
+        carry.extend(&chunk[..n]);
+        let poison = submit_read(&mut carry, handle, shared, &mut batch);
+        let mut writable = true;
+        for (req_id, outcome) in batch.drain(..) {
+            let body = match outcome {
+                Ok(ticket) => {
+                    let reply = ticket.wait();
+                    shared.add_inflight(-1);
+                    match reply.result {
+                        Ok(res) => ReplyBody::Result(res),
+                        Err(e) => ReplyBody::Ingress(e),
+                    }
+                }
+                Err(body) => body,
+            };
+            let frame = Frame::Reply(WireReply { req_id, body });
+            writable = writable && send(&mut stream, &mut injector, &frame, &mut scratch, shared);
         }
-        let abort = shared.abort.load(Ordering::SeqCst);
-        if !writable || abort {
-            continue; // keep draining tickets, write nothing
+        match poison {
+            // Framing is lost; there is no resync. Typed reject, then close.
+            Some(reason) => {
+                if writable {
+                    let reject = Frame::Reject(reason);
+                    send(&mut stream, &mut injector, &reject, &mut scratch, shared);
+                }
+                break;
+            }
+            None if !writable => break,
+            None => {}
         }
-        let wrote = match injector.as_mut() {
-            Some(inj) => match inj.write_frame(&mut stream, &frame, &mut scratch) {
+    }
+    let _ = stream.flush();
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// Decodes every whole frame buffered so far into `batch`, submitting
+/// requests onto the broker up to the inflight cap. Returns the reason to
+/// poison the connection, if a frame was bad.
+fn submit_read(
+    carry: &mut FrameBuffer,
+    handle: &ClientHandle,
+    shared: &Shared,
+    batch: &mut Vec<(u64, Result<Ticket, ReplyBody>)>,
+) -> Option<RejectReason> {
+    let mut submitted = 0;
+    loop {
+        let wreq = match carry.next_frame() {
+            Ok(Some(Frame::Request(wreq))) => wreq,
+            Ok(None) => return None, // need more bytes
+            // A client sending server-only frames has lost the plot, and
+            // undecodable bytes mean framing is lost: poison either way.
+            Ok(Some(_)) | Err(_) => {
+                shared.metrics.decode_errors.inc();
+                return Some(RejectReason::BadFrame);
+            }
+        };
+        shared.metrics.frames_rx.inc();
+        let outcome = if submitted >= shared.cfg.max_inflight {
+            shared.metrics.inflight_refused.inc();
+            Err(ReplyBody::Refused(Refusal::InflightCap {
+                limit: shared.cfg.max_inflight as u64,
+            }))
+        } else if shared.drain.load(Ordering::SeqCst) {
+            Err(ReplyBody::Refused(Refusal::Draining))
+        } else {
+            handle
+                .enqueue(wreq.req, wreq.budget)
+                .inspect(|_| {
+                    submitted += 1;
+                    shared.add_inflight(1);
+                })
+                .map_err(ReplyBody::Ingress)
+        };
+        batch.push((wreq.req_id, outcome));
+    }
+}
+
+/// Writes one frame (through the fault injector, if any); `false` once the
+/// peer can no longer hear us, which also closes the socket so the peer
+/// sees the loss at once.
+fn send(
+    stream: &mut TcpStream,
+    injector: &mut Option<FaultInjector>,
+    frame: &Frame,
+    scratch: &mut Vec<u8>,
+    shared: &Shared,
+) -> bool {
+    let wrote = !shared.abort.load(Ordering::SeqCst)
+        && match injector {
+            Some(inj) => match inj.write_frame(stream, frame, scratch) {
                 Ok(WriteOutcome::Sent) => true,
                 Ok(WriteOutcome::Dropped) => {
                     shared.metrics.faults_injected.inc();
@@ -533,21 +490,12 @@ fn write_loop(
                 }
                 Err(_) => false,
             },
-            None => write_frame(&mut stream, &frame, &mut scratch).is_ok(),
+            None => write_frame(stream, frame, scratch).is_ok(),
         };
-        if wrote {
-            shared.metrics.frames_tx.inc();
-            if matches!(frame, Frame::Reject(_)) {
-                break;
-            }
-        } else {
-            // The peer can no longer hear us: stop writing, stop reading,
-            // but keep retiring tickets so accounting stays exact.
-            writable = false;
-            dead.store(true, Ordering::SeqCst);
-            let _ = stream.shutdown(Shutdown::Both);
-        }
+    if wrote {
+        shared.metrics.frames_tx.inc();
+    } else {
+        let _ = stream.shutdown(Shutdown::Both);
     }
-    let _ = stream.flush();
-    let _ = stream.shutdown(Shutdown::Both);
+    wrote
 }

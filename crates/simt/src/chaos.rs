@@ -43,7 +43,10 @@
 //! stream and the executor's slot. So a fixed seed on a fixed schedule
 //! (e.g. `Grid::sequential`, which runs warps on the launching thread)
 //! reproduces the exact same decision sequence — failures found in CI
-//! replay locally.
+//! replay locally. Work that may run on any thread names its stream
+//! instead ([`ChaosGuard::on_stream`]): the ingress broker installs its
+//! plan per batch on a stream numbered by the batch, so a replay does not
+//! depend on which thread ran the batch.
 //!
 //! With no plan installed (the default), each hook costs one thread-local
 //! load.
@@ -203,14 +206,30 @@ impl ChaosGuard {
         Self::install(plan, stream_seed(plan.seed, THREAD_INDEX.with(|&t| t)))
     }
 
+    /// Installs `plan` on stream `stream` of the plan's seed, on whichever
+    /// thread calls it; `None` installs no plan, masking the thread's own
+    /// for the guard's lifetime. Threads given the same plan and stream
+    /// draw identical decisions, so work that may run on any thread replays
+    /// by its own sequence number, not by the thread that ran it.
+    pub fn on_stream(plan: Option<FaultPlan>, stream: u32) -> Self {
+        match plan {
+            Some(plan) => Self::install(plan, stream_seed(plan.seed, stream)),
+            None => Self::push(Scope::OFF),
+        }
+    }
+
     fn install(plan: FaultPlan, rng: u32) -> Self {
-        let prev = SCOPE.replace(Scope {
+        Self::push(Scope {
             plan: Some(plan),
             yield_level: level(plan.yield_probability),
             cas_fail_level: level(plan.cas_fail_probability),
             alloc_fail_level: level(plan.alloc_fail_probability),
             rng,
-        });
+        })
+    }
+
+    fn push(scope: Scope) -> Self {
+        let prev = SCOPE.replace(scope);
         // Ids ascend along the stack, so the next one is unique among the
         // live guards.
         let id = SAVED.with(|s| {
@@ -442,6 +461,32 @@ mod tests {
         };
         assert_eq!(run(42), run(42), "fixed seed must replay identically");
         assert_ne!(run(42), run(43), "different seeds must diverge");
+    }
+
+    #[test]
+    fn same_stream_on_two_threads_draws_identical_decisions() {
+        let plan = FaultPlan::seeded(11).with_cas_failures(0.5);
+        let draw_on = |stream: u32| {
+            std::thread::spawn(move || {
+                let _g = ChaosGuard::on_stream(Some(plan), stream);
+                (0..64).map(|_| should_fail_cas()).collect::<Vec<_>>()
+            })
+        };
+        let (a, b, other) = (draw_on(5), draw_on(5), draw_on(6));
+        let (a, b, other) = (a.join().unwrap(), b.join().unwrap(), other.join().unwrap());
+        assert_eq!(a, b, "one stream must replay identically on any thread");
+        assert_ne!(a, other, "different streams must diverge");
+    }
+
+    #[test]
+    fn empty_stream_guard_masks_the_threads_plan() {
+        let _outer = ChaosGuard::plan(FaultPlan::seeded(2).with_cas_failures(1.0));
+        {
+            let _masked = ChaosGuard::on_stream(None, 0);
+            assert!(active_plan().is_none());
+            assert!((0..64).all(|_| !should_fail_cas()));
+        }
+        assert!(should_fail_cas(), "dropping the mask restores the plan");
     }
 
     #[test]

@@ -12,10 +12,14 @@
 //! session for the calling thread, and a `Grid` captures the launching
 //! thread's innermost session and hands per-executor tracers to its worker
 //! threads. Concurrent tests therefore cannot pollute each other's traces,
-//! the same isolation story the chaos layer uses for fault plans.
+//! the same isolation story the chaos layer uses for fault plans. Work that
+//! belongs to another thread's session — an ingress broker pass run by
+//! whichever client thread is waiting — enters it for its duration with
+//! [`SessionHandle::enter`].
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -95,8 +99,25 @@ struct Shared {
 }
 
 thread_local! {
-    /// Innermost-last stack of active sessions for this thread.
-    static SESSIONS: RefCell<Vec<Arc<Shared>>> = const { RefCell::new(Vec::new()) };
+    /// Innermost-last stack of this thread's sessions, keyed by entry id. A
+    /// `None` entry hides the sessions below it.
+    static SESSIONS: RefCell<Vec<(u64, Option<Arc<Shared>>)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Entry ids are process-unique, so a session dropped on another thread
+/// detaches nothing there.
+static NEXT_ENTRY: AtomicU64 = AtomicU64::new(0);
+
+/// Pushes `shared` as this thread's innermost session; returns its entry
+/// id for [`pop_entry`].
+fn push_entry(shared: Option<Arc<Shared>>) -> u64 {
+    let id = NEXT_ENTRY.fetch_add(1, Ordering::Relaxed);
+    SESSIONS.with(|s| s.borrow_mut().push((id, shared)));
+    id
+}
+
+fn pop_entry(id: u64) {
+    SESSIONS.with(|s| s.borrow_mut().retain(|&(entry, _)| entry != id));
 }
 
 /// An active trace session, scoped to the thread that began it.
@@ -105,8 +126,8 @@ thread_local! {
 /// harvests the collected [`Trace`] when the session owns the default
 /// in-memory sink.
 pub struct TraceSession {
-    shared: Arc<Shared>,
     memory: Option<Arc<MemorySink>>,
+    entry: u64,
 }
 
 impl TraceSession {
@@ -129,10 +150,10 @@ impl TraceSession {
             sink,
             seq: AtomicU64::new(0),
         });
-        SESSIONS.with(|s| s.borrow_mut().push(shared.clone()));
+        let entry = push_entry(Some(shared));
         Self {
-            shared,
             memory: None,
+            entry,
         }
     }
 
@@ -151,10 +172,7 @@ impl TraceSession {
     }
 
     fn detach(&mut self) {
-        SESSIONS.with(|s| {
-            s.borrow_mut()
-                .retain(|shared| !Arc::ptr_eq(shared, &self.shared));
-        });
+        pop_entry(self.entry);
     }
 }
 
@@ -187,16 +205,39 @@ impl SessionHandle {
         let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
         self.shared.sink.consume(vec![TraceEvent { seq, warp, kind }]);
     }
+
+    /// Makes `session` the calling thread's current session until the
+    /// guard drops, so the launches it makes meanwhile record there; `None`
+    /// hides whatever session the thread itself began. For work done on
+    /// behalf of another thread's session.
+    pub fn enter(session: Option<&SessionHandle>) -> SessionGuard {
+        SessionGuard {
+            entry: push_entry(session.map(|h| h.shared.clone())),
+            _thread_bound: PhantomData,
+        }
+    }
+}
+
+/// Restores the calling thread's previous session on drop; see
+/// [`SessionHandle::enter`]. `!Send`: it belongs to the thread that
+/// entered.
+pub struct SessionGuard {
+    entry: u64,
+    _thread_bound: PhantomData<*const ()>,
+}
+
+impl Drop for SessionGuard {
+    fn drop(&mut self) {
+        pop_entry(self.entry);
+    }
 }
 
 /// The calling thread's innermost active session, if any.
 pub fn current_session() -> Option<SessionHandle> {
     SESSIONS.with(|s| {
-        s.borrow()
-            .last()
-            .map(|shared| SessionHandle {
-                shared: shared.clone(),
-            })
+        let sessions = s.borrow();
+        let shared = sessions.last()?.1.clone()?;
+        Some(SessionHandle { shared })
     })
 }
 
@@ -280,6 +321,33 @@ mod tests {
         assert!(current_session().is_some());
         let trace = outer.finish();
         assert!(trace.events().is_empty());
+        assert!(current_session().is_none());
+    }
+
+    #[test]
+    fn entered_session_is_current_until_the_guard_drops() {
+        let own = TraceSession::begin(TraceConfig::default());
+        let other = std::thread::scope(|s| {
+            s.spawn(|| {
+                let session = TraceSession::begin(TraceConfig::default());
+                (current_session().unwrap(), session.finish())
+            })
+            .join()
+            .unwrap()
+            .0
+        });
+        {
+            let _g = SessionHandle::enter(Some(&other));
+            current_session().unwrap().emit(0, EventKind::WarpBegin);
+            {
+                let _hidden = SessionHandle::enter(None);
+                assert!(current_session().is_none());
+            }
+            assert!(current_session().is_some());
+        }
+        current_session().unwrap().emit(0, EventKind::WarpBegin);
+        let trace = own.finish();
+        assert_eq!(trace.events().len(), 1, "only the post-guard event is ours");
         assert!(current_session().is_none());
     }
 

@@ -275,10 +275,20 @@ fn broker_death_resolves_every_outstanding_ticket() {
         client.call(Request::replace(k, k)).expect("healthy broker");
     }
 
-    // Arm the switch, then pile on writes that must allocate. The broker
-    // thread dies mid-batch; every outstanding ticket must still resolve —
-    // to a result (landed before the death) or a typed error — never hang.
+    // Arm the switch, then pile on writes that must allocate. The pass
+    // that allocates dies mid-batch, on whichever thread runs it; every
+    // outstanding ticket must still resolve — to a result (landed before
+    // the death) or a typed error — never hang.
     armed.store(true, Ordering::SeqCst);
+    // A second client calls through the death: its `call()` may be the
+    // one running the panicking pass, and must still return a typed error
+    // rather than unwind.
+    let helper_client = broker.handle();
+    let helper = std::thread::spawn(move || {
+        (1000..1256u32)
+            .map(|k| helper_client.call(Request::replace(k, k)))
+            .find(Result::is_err)
+    });
     let tickets: Vec<_> = (100..356u32)
         .map(|k| client.submit(Request::replace(k, k)).expect("queue open"))
         .collect();
@@ -302,6 +312,13 @@ fn broker_death_resolves_every_outstanding_ticket() {
     assert!(
         broker_gone > 0,
         "a dead broker must surface as BrokerGone, not silence"
+    );
+    let helper_err = helper
+        .join()
+        .expect("a panicking pass unwound into another client's call");
+    assert!(
+        matches!(helper_err, Some(Err(IngressError::BrokerGone))),
+        "a call through the death must end in BrokerGone: {helper_err:?}"
     );
 
     // Later submissions fail fast with the typed error once the channel is
@@ -381,4 +398,75 @@ fn pool_worker_death_mid_load_resolves_all_tickets() {
     drop(probe);
     let stats = broker.shutdown();
     assert_eq!(stats.completed, u64::from(total) + 1);
+}
+
+/// No backstop: the broker thread's idle tick is a minute, so it never
+/// drains the queue within the test. Every request must still resolve
+/// promptly — served by a waiting caller's pass or by the thread releasing
+/// the pass lock. The threads move in lockstep rounds, so a stranded
+/// envelope cannot be rescued by another thread's next request: a lost
+/// wake-up in the release re-check stalls a request to its deadline and
+/// fails the test.
+#[test]
+fn waiting_callers_make_progress_without_the_idle_backstop() {
+    const THREADS: u32 = 4;
+    const PER_THREAD: u32 = 2_000;
+    const BOUND: Duration = Duration::from_secs(10);
+    let table = Arc::new(SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(256)));
+    let broker = Broker::spawn(
+        Arc::clone(&table),
+        BrokerConfig {
+            idle_tick: Duration::from_secs(60),
+            default_deadline: BOUND,
+            ..BrokerConfig::default()
+        },
+    );
+    let rounds = Arc::new(std::sync::Barrier::new(THREADS as usize));
+    // Set by a stalled or failed request; every thread stops at the next
+    // round, so a failure ends the test instead of the barrier hanging it.
+    let stalled = Arc::new(AtomicBool::new(false));
+    let threads: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let client = broker.handle();
+            let rounds = Arc::clone(&rounds);
+            let stalled = Arc::clone(&stalled);
+            std::thread::spawn(move || {
+                let mut failure = None;
+                for i in 0..PER_THREAD {
+                    rounds.wait();
+                    if stalled.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let key = t * PER_THREAD + i;
+                    let req = match i % 3 {
+                        0 => Request::replace(key, i),
+                        1 => Request::search(key.saturating_sub(1)),
+                        _ => Request::delete(key.saturating_sub(2)),
+                    };
+                    let began = Instant::now();
+                    let result = if i % 2 == 0 {
+                        client.call(req)
+                    } else {
+                        let timed_out = IngressError::DeadlineExceeded { budget: BOUND };
+                        client.submit_blocking(req, BOUND).and_then(|ticket| {
+                            ticket.wait_deadline(began + BOUND).ok_or(timed_out)?.result
+                        })
+                    };
+                    if let Err(e) = result {
+                        stalled.store(true, Ordering::SeqCst);
+                        failure = Some(format!(
+                            "round {i}: {e:?} after {:?}: an envelope was stranded",
+                            began.elapsed()
+                        ));
+                    }
+                }
+                failure.map_or(Ok(()), Err)
+            })
+        })
+        .collect();
+    for thread in threads {
+        thread.join().expect("client thread panicked").unwrap();
+    }
+    let stats = broker.shutdown();
+    assert_eq!(stats.completed, u64::from(THREADS * PER_THREAD));
 }

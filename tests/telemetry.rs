@@ -5,8 +5,11 @@
 
 use std::sync::Arc;
 
+use std::time::Duration;
+
 use simt::{ChaosGuard, FaultPlan, Grid, PerfCounters};
 use slab_hash::{KeyValue, Request, SlabHash, SlabHashConfig};
+use slab_ingress::{Broker, BrokerConfig};
 use telemetry::{EventKind, Histograms, MemorySink, TraceConfig, TraceSession};
 
 /// A skewed request mix that forces chains, allocations, and CAS retries.
@@ -139,4 +142,43 @@ fn custom_sink_receives_all_events_with_launch_framing() {
     let chrome = trace.to_chrome_trace();
     assert!(chrome.contains("\"traceEvents\""));
     assert_eq!(chrome.matches("\"ph\":\"X\"").count(), report.warps + 1);
+}
+
+/// A broker pass may run on any waiting client thread, yet its launches
+/// belong to the session captured at `Broker::spawn`: a client thread with
+/// no session of its own runs every pass here (the broker thread's idle
+/// tick is a minute), and each pass's launch still lands in the spawner's
+/// trace.
+#[test]
+fn launches_from_a_pass_on_another_thread_land_in_the_spawners_session() {
+    const CALLS: u32 = 32;
+    let table = Arc::new(SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(64)));
+    let session = TraceSession::begin(TraceConfig::default());
+    let broker = Broker::spawn(
+        Arc::clone(&table),
+        BrokerConfig {
+            grid: Some(Grid::sequential()),
+            idle_tick: Duration::from_secs(60),
+            ..BrokerConfig::default()
+        },
+    );
+    let client = broker.handle();
+    std::thread::spawn(move || {
+        assert!(telemetry::current_session().is_none());
+        for k in 0..CALLS {
+            client.put(k, k).expect("healthy broker");
+        }
+        // The pass's session guard is gone again.
+        assert!(telemetry::current_session().is_none());
+    })
+    .join()
+    .expect("client thread panicked");
+    broker.shutdown();
+    let trace = session.finish();
+    let begins = trace
+        .events()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::LaunchBegin { .. }))
+        .count();
+    assert_eq!(begins, CALLS as usize, "one launch per single-request pass");
 }

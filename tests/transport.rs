@@ -261,9 +261,21 @@ fn graceful_drain_answers_in_flight_work() {
 
     // A slow stream of calls from a sibling thread while the main thread
     // drains the server: every call must resolve (Ok, typed refusal, or
-    // typed disconnect) — none may hang.
+    // typed disconnect) — none may hang. Once the server is gone every
+    // call redials, so the dial budget is tight (as in the kill-and-restart
+    // test) to keep the post-drain calls fast.
     let worker = std::thread::spawn(move || {
-        let mut client = WireClient::new(addr, client_cfg(7)).unwrap();
+        let mut client = WireClient::new(
+            addr,
+            WireClientConfig {
+                max_connect_attempts: 2,
+                connect_timeout: Duration::from_millis(100),
+                reconnect_base: Duration::from_millis(5),
+                reconnect_cap: Duration::from_millis(20),
+                ..client_cfg(7)
+            },
+        )
+        .unwrap();
         let mut outcomes = Vec::new();
         for k in 0..200u32 {
             outcomes.push(client.call(Request::replace(k, k)));
