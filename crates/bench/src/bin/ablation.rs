@@ -15,7 +15,8 @@
 use simt::PerfCounters;
 use slab_bench::{distinct_keys, mops, paper_model, random_pairs, Args, Measurement, Table};
 use slab_hash::{
-    entry::DATA_LANES, EntryLayout, KeyValue, Request, SlabHash, SlabHashConfig, EMPTY_KEY,
+    entry::DATA_LANES, BatchBuffer, EntryLayout, KeyValue, Request, SlabHash, SlabHashConfig,
+    EMPTY_KEY,
 };
 use slab_alloc::{SlabAlloc, SlabAllocConfig, SlabAllocator};
 
@@ -70,11 +71,11 @@ fn partition(n: usize, grid: &simt::Grid, csv: Option<&std::path::Path>) {
         // something to localize.
         let t = SlabHash::<KeyValue>::for_expected_elements(n, 0.85, 0x9A);
         t.bulk_build(&pairs, grid);
-        let mut reqs: Vec<Request> = pairs.iter().map(|&(k, _)| Request::replace(k, 1)).collect();
+        let mut batch: BatchBuffer = pairs.iter().map(|&(k, _)| Request::replace(k, 1)).collect();
         let report = if partitioned {
-            t.execute_batch_partitioned(&mut reqs, grid)
+            t.execute_buffer_partitioned(&mut batch, grid)
         } else {
-            t.execute_batch(&mut reqs, grid)
+            t.execute_buffer(&mut batch, grid)
         };
         let rate = report.cpu_ops_per_sec() / 1e6;
         rates[i] = rate;
@@ -93,7 +94,7 @@ fn partition(n: usize, grid: &simt::Grid, csv: Option<&std::path::Path>) {
     }
     table.finish(csv);
     println!(
-        "partitioning speedup: {:.2}x host-side (sort cost excluded here; \
+        "partitioning speedup: {:.2}x host-side (routing cost excluded here; \
          `perf` measures it end to end)",
         rates[1] / rates[0]
     );

@@ -1,28 +1,24 @@
 //! Host-side launch-path throughput, machine-readable.
 //!
-//! Measures the dispatch overhaul end to end — persistent executor pool vs
-//! the legacy scoped-thread baseline on identical workloads and grid width,
-//! plus the sharded-ownership vs flat batch ablation — and emits
-//! `BENCH_8.json` so later PRs have a perf trajectory to beat.
+//! Measures the persistent-pool launch path end to end, plus the
+//! sharded-ownership vs flat batch comparison, and emits `BENCH_8.json` so
+//! later changes have a perf trajectory to beat.
 //!
 //! Sections:
 //! * `build` — bulk REPLACE build of n pairs at 60 % utilization;
 //! * `search` — n searches through a reused [`BatchBuffer`];
 //! * `concurrent_batch` — the Fig. 7 setting: many moderate mixed batches
-//!   (Γ = 40 % updates), where per-launch spawn cost dominates the legacy
-//!   path;
+//!   (Γ = 40 % updates), where per-launch overhead matters most;
 //! * `partitioned` — the headline of this bench: a *hot-key* batch stream
 //!   (half the requests hammer a small spread of keys) dispatched flat vs
 //!   through sharded ownership (each executor owns a contiguous bucket
-//!   range), plus the retired sort-then-scatter path (`sorted_mops`) kept
-//!   as an ablation baseline — the PR 5 design whose 0.82x regression the
-//!   shard map replaced. The hot runs execute under chaos *yield*
-//!   scheduling (`simt::chaos`, yield-only — no fault injection), which
-//!   forces the cross-thread interleavings a parallel machine produces
+//!   range). The hot runs execute under chaos *yield* scheduling
+//!   (`simt::chaos`, yield-only — no fault injection), which forces the
+//!   cross-thread interleavings a parallel machine produces
 //!   naturally; without it a single-core CI host never hits the
 //!   read-then-CAS window and the contention being measured would not
 //!   exist. Every lost CAS counted is a real lost race. The `uniform`
-//!   sub-object reports the same three modes on the uniform-key workload
+//!   sub-object reports the same two modes on the uniform-key workload
 //!   with no chaos — that is the routing overhead sharding pays when there
 //!   is no contention to remove;
 //! * `contention` — one hot-key batch traced twice under the same yield
@@ -41,10 +37,10 @@
 //! (roofline) and measured speedups side by side, and the scalar-vs-wide
 //! warp-primitive microbench. Emits `BENCH_10.json` (see [`single_op`]).
 //!
-//! On a single-core host a width-1 grid runs both dispatch strategies
-//! through the same inline path; pass `--threads 2` or more to exercise
-//! the pool. `host_threads` in the output records the machine's real
-//! parallelism so cross-host comparisons stay honest.
+//! A width-1 grid runs every launch inline on the calling thread; pass
+//! `--threads 2` or more to exercise the pool. `host_threads` in the
+//! output records the machine's real parallelism so cross-host comparisons
+//! stay honest.
 
 use std::time::Instant;
 
@@ -81,80 +77,47 @@ fn main() {
     let (num_batches, batch_size) = if quick { (16, 1 << 10) } else { (64, 1 << 12) };
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let pooled = Grid::new(threads);
-    let scoped = Grid::scoped(threads);
+    let grid = Grid::new(threads);
     println!(
         "Launch-path throughput: n = 2^{log_n}, {threads} threads, \
          {num_batches} batches x {batch_size} ops, best of {reps}"
     );
 
-    let build = [build_mops(n, &pooled, reps), build_mops(n, &scoped, reps)];
-    println!(
-        "build:            pooled {} M ops/s, scoped {} M ops/s ({:.2}x)",
-        mops(build[0]),
-        mops(build[1]),
-        build[0] / build[1]
-    );
+    let build = build_mops(n, &grid, reps);
+    println!("build:            pooled {} M ops/s", mops(build));
 
-    let search = [search_mops(n, &pooled, reps), search_mops(n, &scoped, reps)];
-    println!(
-        "search:           pooled {} M ops/s, scoped {} M ops/s ({:.2}x)",
-        mops(search[0]),
-        mops(search[1]),
-        search[0] / search[1]
-    );
+    let search = search_mops(n, &grid, reps);
+    println!("search:           pooled {} M ops/s", mops(search));
 
-    let concurrent = [
-        concurrent_mops_mode(n, batch_size, num_batches, &pooled, reps, Mode::Flat),
-        concurrent_mops_mode(n, batch_size, num_batches, &scoped, reps, Mode::Flat),
-    ];
-    println!(
-        "concurrent batch: pooled {} M ops/s, scoped {} M ops/s ({:.2}x)",
-        mops(concurrent[0]),
-        mops(concurrent[1]),
-        concurrent[0] / concurrent[1]
-    );
-    if concurrent[0] <= concurrent[1] {
-        println!(
-            "WARNING: pooled dispatch did not beat the scoped baseline on the \
-             concurrent-batch workload (expected on multi-core hosts)"
-        );
-    }
+    let concurrent = concurrent_mops_mode(n, batch_size, num_batches, &grid, reps, Mode::Flat);
+    println!("concurrent batch: pooled {} M ops/s", mops(concurrent));
 
     // Routing overhead on the uniform workload (no contention to remove, no
     // chaos): what sharding costs when it cannot win.
     let uniform = [
-        concurrent_mops_mode(n, batch_size, num_batches, &pooled, reps, Mode::Sharded),
-        concurrent[0],
-        concurrent_mops_mode(n, batch_size, num_batches, &pooled, reps, Mode::Sorted),
+        concurrent_mops_mode(n, batch_size, num_batches, &grid, reps, Mode::Sharded),
+        concurrent,
     ];
     println!(
-        "uniform overhead: sharded {} M ops/s, flat {} M ops/s ({:.2}x); \
-         sorted ablation {} M ops/s ({:.2}x)",
+        "uniform overhead: sharded {} M ops/s, flat {} M ops/s ({:.2}x)",
         mops(uniform[0]),
         mops(uniform[1]),
         uniform[0] / uniform[1],
-        mops(uniform[2]),
-        uniform[2] / uniform[1],
     );
 
     // The headline: hot-key batches under yield chaos, where flat chunking
     // manufactures CAS retries that ownership dispatch removes.
     let hot_keys = hot_key_count(threads);
     let hot = [
-        hot_dispatch_mops(threads, batch_size, num_batches, &pooled, reps, Mode::Sharded),
-        hot_dispatch_mops(threads, batch_size, num_batches, &pooled, reps, Mode::Flat),
-        hot_dispatch_mops(threads, batch_size, num_batches, &pooled, reps, Mode::Sorted),
+        hot_dispatch_mops(threads, batch_size, num_batches, &grid, reps, Mode::Sharded),
+        hot_dispatch_mops(threads, batch_size, num_batches, &grid, reps, Mode::Flat),
     ];
     println!(
-        "hot partitioning: sharded {} M ops/s, flat {} M ops/s ({:.2}x); \
-         sorted ablation {} M ops/s ({:.2}x) \
+        "hot partitioning: sharded {} M ops/s, flat {} M ops/s ({:.2}x) \
          [{hot_keys} hot keys, 75% hot, chaos yields p={HOT_YIELD_P}]",
         mops(hot[0]),
         mops(hot[1]),
         hot[0] / hot[1],
-        mops(hot[2]),
-        hot[2] / hot[1],
     );
     if hot[0] <= hot[1] {
         println!(
@@ -179,20 +142,18 @@ fn main() {
          \"concurrent_batch\": {},\n  \
          \"partitioned\": {{\"method\": \"hot_key_chaos_yields\", \"chaos_yields\": {HOT_YIELD_P}, \
          \"hot_keys\": {hot_keys}, \"hot_fraction\": 0.75, \
-         \"partitioned_mops\": {:.3}, \"unpartitioned_mops\": {:.3}, \"sorted_mops\": {:.3}, \"speedup\": {:.3}, \
-         \"uniform\": {{\"sharded_mops\": {:.3}, \"flat_mops\": {:.3}, \"sorted_mops\": {:.3}, \"ratio\": {:.3}}}}},\n  \
+         \"partitioned_mops\": {:.3}, \"unpartitioned_mops\": {:.3}, \"speedup\": {:.3}, \
+         \"uniform\": {{\"sharded_mops\": {:.3}, \"flat_mops\": {:.3}, \"ratio\": {:.3}}}}},\n  \
          \"contention\": {}\n\
          }}\n",
-        pair_json(build),
-        pair_json(search),
-        pair_json(concurrent),
+        pooled_json(build),
+        pooled_json(search),
+        pooled_json(concurrent),
         hot[0],
         hot[1],
-        hot[2],
         hot[0] / hot[1],
         uniform[0],
         uniform[1],
-        uniform[2],
         uniform[0] / uniform[1],
         contention,
     );
@@ -294,10 +255,6 @@ fn hot_dispatch_mops(
                 Mode::Sharded => {
                     t.execute_buffer_partitioned(b, grid);
                 }
-                Mode::Sorted => {
-                    t.try_execute_batch_bucket_sorted(b.requests_mut(), grid)
-                        .expect("sorted ablation launch");
-                }
             }
         }
         start.elapsed().as_secs_f64()
@@ -320,15 +277,15 @@ fn contention_section(threads: usize) -> String {
     let run = |sharded: bool| {
         let t = SlabHash::<KeyValue>::for_expected_elements(pairs.len(), 0.6, 13);
         t.bulk_build(&pairs, &grid);
-        let mut reqs: Vec<Request> = (0..batch_ops as u32)
+        let mut batch: BatchBuffer = (0..batch_ops as u32)
             .map(|g| hot_request(g, &hot, pool))
             .collect();
         let _chaos = ChaosGuard::new(HOT_YIELD_P);
         let session = TraceSession::begin(TraceConfig::default());
         let report = if sharded {
-            t.execute_batch_partitioned(&mut reqs, &grid)
+            t.execute_buffer_partitioned(&mut batch, &grid)
         } else {
-            t.execute_batch(&mut reqs, &grid)
+            t.execute_buffer(&mut batch, &grid)
         };
         let trace = session.finish();
         let audit = t.audit().expect("contention table audits clean");
@@ -349,12 +306,9 @@ fn contention_section(threads: usize) -> String {
     )
 }
 
-/// `{"pooled_mops": …, "scoped_mops": …, "speedup": …}` for one section.
-fn pair_json([pooled, scoped]: [f64; 2]) -> String {
-    format!(
-        "{{\"pooled_mops\": {pooled:.3}, \"scoped_mops\": {scoped:.3}, \"speedup\": {:.3}}}",
-        pooled / scoped
-    )
+/// `{"pooled_mops": …}` for one section.
+fn pooled_json(pooled: f64) -> String {
+    format!("{{\"pooled_mops\": {pooled:.3}}}")
 }
 
 /// Smallest wall time over `reps` runs, in seconds (never zero).
@@ -399,9 +353,6 @@ enum Mode {
     Flat,
     /// Sharded ownership dispatch (each executor owns a bucket range).
     Sharded,
-    /// The retired PR 5 sort-then-scatter path, kept as an ablation
-    /// baseline for the regression this PR fixes.
-    Sorted,
 }
 
 /// The concurrent-batch workload: pre-built table, then `num_batches`
@@ -441,10 +392,6 @@ fn concurrent_mops_mode(
                 }
                 Mode::Sharded => {
                     t.execute_buffer_partitioned(b, grid);
-                }
-                Mode::Sorted => {
-                    t.try_execute_batch_bucket_sorted(b.requests_mut(), grid)
-                        .expect("sorted ablation launch");
                 }
             }
         }

@@ -31,9 +31,9 @@ use crate::ops::Request;
 
 /// The scratch storage behind sharded (bucket-partitioned) execution,
 /// grouped so it can be reused across batches. Every buffer here retains
-/// its allocation across [`BatchBuffer::reset`] / [`BatchBuffer::clear`]
-/// and across executions, so steady-state partitioned loops are
-/// allocation-free after the first batch sizes them.
+/// its allocation across [`BatchBuffer::clear`] and across executions, so
+/// steady-state partitioned loops are allocation-free after the first
+/// batch sizes them.
 #[derive(Debug, Default)]
 pub(crate) struct PartitionScratch {
     /// Cached destination bucket per request. Filled by
@@ -106,15 +106,6 @@ impl BatchBuffer {
         self.parts.buckets.clear();
     }
 
-    /// Alias of [`clear`](Self::clear), named for the refill-and-execute
-    /// loop: resets the buffer to empty while provably retaining the
-    /// partition scratch sized by earlier executions (the
-    /// `steady_alloc` bench asserts the whole loop performs zero heap
-    /// allocations).
-    pub fn reset(&mut self) {
-        self.clear();
-    }
-
     /// Appends one request.
     pub fn push(&mut self, req: Request) {
         self.reqs.push(req);
@@ -181,10 +172,18 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         self.execute_batch(&mut batch.reqs, grid)
     }
 
-    /// Executes the buffer's requests through sharded ownership dispatch
-    /// (see [`SlabHash::execute_batch_partitioned`]), reusing the buffer's
-    /// scratch storage — including the broker-filled bucket cache — so
-    /// repeated calls allocate nothing.
+    /// Like [`SlabHash::execute_buffer`], but through **sharded ownership
+    /// dispatch**: requests are bucketed in O(n) into per-shard sub-batches
+    /// (each shard a contiguous bucket range, one shard per grid executor)
+    /// and each persistent pool worker drains *its own* shard before
+    /// stealing — so a hot bucket's requests are CASed by exactly one
+    /// OS thread instead of all of them. Per-request results land in the
+    /// *original* positions; the reordering is invisible to the caller.
+    ///
+    /// The buffer's scratch storage — including the broker-filled bucket
+    /// cache — is reused, so repeated calls allocate nothing. A panicking
+    /// warp unwinds through this call after every executed request's
+    /// result is back in its original slot.
     pub fn execute_buffer_partitioned(&self, batch: &mut BatchBuffer, grid: &Grid) -> LaunchReport {
         let BatchBuffer { reqs, parts } = batch;
         match self.try_execute_sharded_into(reqs, parts, grid) {
@@ -243,7 +242,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_retains_partition_scratch() {
+    fn clear_retains_partition_scratch() {
         let grid = Grid::new(4);
         let t = SlabHash::<KeyValue>::for_expected_elements(4096, 0.6, 3);
         let mut batch = BatchBuffer::new();
@@ -256,7 +255,7 @@ mod tests {
         );
         assert!(caps.0 >= 4096 && caps.1 >= 4096);
         for round in 0..3 {
-            batch.reset();
+            batch.clear();
             assert!(batch.is_empty());
             batch.extend((0..4096).map(Request::search));
             t.execute_buffer_partitioned(&mut batch, &grid);
@@ -274,7 +273,7 @@ mod tests {
                     batch.parts.scratch.capacity(),
                     batch.parts.segments.capacity(),
                 ),
-                "reset must not drop partition scratch (round {round})"
+                "clear must not drop partition scratch (round {round})"
             );
         }
     }

@@ -49,43 +49,8 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         })
     }
 
-    /// Like [`SlabHash::execute_batch`], but through **sharded ownership
-    /// dispatch**: requests are bucketed in O(n) into per-shard sub-batches
-    /// (each shard a contiguous bucket range, one shard per grid executor)
-    /// and each persistent pool worker drains *its own* shard before
-    /// stealing — so a hot bucket's requests are CASed by exactly one
-    /// OS thread instead of all of them. Per-request results land in the
-    /// *original* positions; the reordering is invisible to the caller.
-    ///
-    /// This replaces the PR 5 sort-then-scatter path, whose `O(n log n)`
-    /// sort *concentrated* same-bucket requests at chunk boundaries shared
-    /// between workers and regressed to 0.82x (BENCH_5.json). The sorted
-    /// path survives as [`SlabHash::try_execute_batch_bucket_sorted`] for
-    /// the ablation benchmark only.
-    pub fn execute_batch_partitioned(&self, reqs: &mut [Request], grid: &Grid) -> LaunchReport {
-        match self.try_execute_batch_partitioned(reqs, grid) {
-            Ok(report) => report,
-            Err(e) => e.resume_unwind(),
-        }
-    }
-
-    /// Panic-containing variant of [`SlabHash::execute_batch_partitioned`]
-    /// (see [`SlabHash::try_execute_batch`]).
-    ///
-    /// # Errors
-    /// The first warp panic observed during the launch. Requests executed
-    /// before containment keep their results, in their original positions.
-    pub fn try_execute_batch_partitioned(
-        &self,
-        reqs: &mut [Request],
-        grid: &Grid,
-    ) -> Result<LaunchReport, LaunchError> {
-        let mut parts = crate::batch::PartitionScratch::default();
-        self.try_execute_sharded_into(reqs, &mut parts, grid)
-    }
-
-    /// Sharded execution over caller-owned scratch (the allocation-free
-    /// path behind [`crate::BatchBuffer`]):
+    /// Sharded execution over caller-owned scratch (the path behind
+    /// [`SlabHash::execute_buffer_partitioned`]):
     ///
     /// 1. **Bucket** — reuse the cached per-request buckets when the caller
     ///    pre-hashed (the ingress broker does, at admission); otherwise one
@@ -95,10 +60,10 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
     ///    into segment bounds, and arm the reusable
     ///    [`simt::ShardPlan`].
     /// 3. **Scatter** — copy requests into shard-major order in `scratch`,
-    ///    recording each slot's original index in `order` (counting sort:
-    ///    O(n), replacing the old O(n log n) sort). The kernel only ever
-    ///    writes a request's `result`, so the caller's slots stay put and
-    ///    only the four scalar fields are copied out.
+    ///    recording each slot's original index in `order` (counting sort,
+    ///    O(n)). The kernel only ever writes a request's `result`, so the
+    ///    caller's slots stay put and only the four scalar fields are
+    ///    copied out.
     /// 4. **Execute** — [`Grid::try_launch_sharded`]: every executor drains
     ///    its own shard's warps first, stealing only when idle.
     /// 5. **Scatter back** — each *result* moves to its original slot, on
@@ -172,55 +137,12 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
         outcome
     }
 
-    /// The superseded PR 5 partitioning strategy — sort requests by
-    /// `(bucket << 32) | index`, execute through the shared chunk
-    /// dispenser, scatter back — kept **only** as the ablation baseline so
-    /// `perf` can keep quantifying why it regressed (sorting concentrates a
-    /// hot bucket's requests at warp boundaries split across workers,
-    /// manufacturing the very CAS contention partitioning should remove).
-    /// Use [`SlabHash::execute_batch_partitioned`] everywhere else.
-    ///
-    /// # Errors
-    /// The first warp panic observed during the launch.
-    pub fn try_execute_batch_bucket_sorted(
-        &self,
-        reqs: &mut [Request],
-        grid: &Grid,
-    ) -> Result<LaunchReport, LaunchError> {
-        debug_assert!(reqs.len() <= u32::MAX as usize, "batch too large to partition");
-        let hash = self.hash_fn();
-        let mut order: Vec<u64> = reqs
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (u64::from(hash.bucket(r.key)) << 32) | i as u64)
-            .collect();
-        order.sort_unstable();
-        let mut scratch: Vec<Request> = order
-            .iter()
-            .map(|&e| std::mem::take(&mut reqs[(e & 0xFFFF_FFFF) as usize]))
-            .collect();
-        let outcome = self.try_execute_batch(&mut scratch, grid);
-        for (slot, &e) in order.iter().enumerate() {
-            reqs[(e & 0xFFFF_FFFF) as usize] = std::mem::take(&mut scratch[slot]);
-        }
-        outcome
-    }
-
     /// Bulk-builds from key–value pairs using REPLACE (uniqueness
     /// maintained — the paper's evaluation setting: "all our insertion
     /// operations maintain uniqueness").
     pub fn bulk_build(&self, pairs: &[(u32, u32)], grid: &Grid) -> LaunchReport {
         let mut reqs: Vec<Request> = pairs.iter().map(|&(k, v)| Request::replace(k, v)).collect();
         self.execute_batch(&mut reqs, grid)
-    }
-
-    /// [`SlabHash::bulk_build`] through sharded ownership dispatch: pairs
-    /// are bucketed into per-shard sub-batches in O(n) and each executor
-    /// builds its own bucket range (see
-    /// [`SlabHash::execute_batch_partitioned`]).
-    pub fn bulk_build_partitioned(&self, pairs: &[(u32, u32)], grid: &Grid) -> LaunchReport {
-        let mut reqs: Vec<Request> = pairs.iter().map(|&(k, v)| Request::replace(k, v)).collect();
-        self.execute_batch_partitioned(&mut reqs, grid)
     }
 
     /// Bulk REPLACE build that surfaces the first structured failure.
@@ -281,6 +203,7 @@ impl<L: EntryLayout, A: SlabAllocator> SlabHash<L, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchBuffer;
     use crate::entry::{KeyOnly, KeyValue};
     use crate::hash_table::SlabHashConfig;
 
@@ -414,17 +337,26 @@ mod tests {
         assert_eq!(e1, e2, "schedule must not affect final contents");
     }
 
+    /// Runs `reqs` through the sharded entry point, returning the executed
+    /// buffer and the launch report.
+    fn sharded(
+        t: &SlabHash<KeyValue>,
+        reqs: impl IntoIterator<Item = Request>,
+    ) -> (BatchBuffer, LaunchReport) {
+        let mut batch: BatchBuffer = reqs.into_iter().collect();
+        let report = t.execute_buffer_partitioned(&mut batch, &grid());
+        (batch, report)
+    }
+
     #[test]
     fn partitioned_batch_restores_original_order() {
         let t = SlabHash::<KeyValue>::for_expected_elements(3000, 0.6, 21);
-        let pairs: Vec<(u32, u32)> = (0..3000).map(|k| (k * 7, k)).collect();
-        t.bulk_build_partitioned(&pairs, &grid());
+        sharded(&t, (0..3000).map(|k| Request::replace(k * 7, k)));
         assert_eq!(t.len(), 3000);
         // Searches through the partitioned path: results must line up with
         // the caller's request order, not the bucket order.
-        let mut reqs: Vec<Request> = (0..3000).rev().map(|k| Request::search(k * 7)).collect();
-        t.execute_batch_partitioned(&mut reqs, &grid());
-        for (i, r) in reqs.iter().enumerate() {
+        let (batch, _) = sharded(&t, (0..3000).rev().map(|k| Request::search(k * 7)));
+        for (i, r) in batch.requests().iter().enumerate() {
             assert_eq!(r.key, (2999 - i as u32) * 7);
             assert_eq!(r.result, OpResult::Found(2999 - i as u32), "slot {i}");
         }
@@ -436,7 +368,7 @@ mod tests {
         let t1 = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(64));
         let t2 = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(64));
         t1.bulk_build(&pairs, &grid());
-        t2.bulk_build_partitioned(&pairs, &grid());
+        sharded(&t2, pairs.iter().map(|&(k, v)| Request::replace(k, v)));
         let mut e1 = t1.collect_elements();
         let mut e2 = t2.collect_elements();
         e1.sort_unstable();
@@ -445,31 +377,15 @@ mod tests {
     }
 
     #[test]
-    fn try_partitioned_batch_reports_and_restores() {
+    fn partitioned_batch_reports_and_restores() {
         let t = SlabHash::<KeyValue>::for_expected_elements(2000, 0.6, 5);
         let pairs: Vec<(u32, u32)> = (0..2000).map(|k| (k, k)).collect();
         t.bulk_build(&pairs, &grid());
-        let mut reqs: Vec<Request> = (0..2000).map(Request::search).collect();
-        let report = t.try_execute_batch_partitioned(&mut reqs, &grid()).unwrap();
+        let (batch, report) = sharded(&t, (0..2000).map(Request::search));
         assert_eq!(report.counters.ops, 2000);
-        for (k, r) in reqs.iter().enumerate() {
+        for (k, r) in batch.requests().iter().enumerate() {
             assert_eq!(r.key, k as u32);
             assert_eq!(r.result, OpResult::Found(k as u32));
-        }
-    }
-
-    #[test]
-    fn bucket_sorted_ablation_path_matches_sharded_results() {
-        let t = SlabHash::<KeyValue>::for_expected_elements(3000, 0.6, 31);
-        let pairs: Vec<(u32, u32)> = (0..3000).map(|k| (k * 5, k)).collect();
-        t.bulk_build(&pairs, &grid());
-        let mut sorted: Vec<Request> = (0..3000).map(|k| Request::search(k * 5)).collect();
-        let mut sharded = sorted.clone();
-        t.try_execute_batch_bucket_sorted(&mut sorted, &grid()).unwrap();
-        t.try_execute_batch_partitioned(&mut sharded, &grid()).unwrap();
-        for (a, b) in sorted.iter().zip(sharded.iter()) {
-            assert_eq!(a.key, b.key, "caller order must be restored by both");
-            assert_eq!(a.result, b.result);
         }
     }
 
@@ -477,18 +393,15 @@ mod tests {
     fn sharded_execution_handles_narrow_tables_and_tiny_batches() {
         // Fewer buckets than grid threads: ShardMap clamps, stealing covers.
         let t = SlabHash::<KeyValue>::new(SlabHashConfig::with_buckets(2));
-        let mut reqs: Vec<Request> = (0..40).map(|k| Request::replace(k, k)).collect();
-        t.execute_batch_partitioned(&mut reqs, &grid());
-        assert!(reqs.iter().all(|r| r.result == OpResult::Inserted));
+        let (batch, _) = sharded(&t, (0..40).map(|k| Request::replace(k, k)));
+        assert!(batch.requests().iter().all(|r| r.result == OpResult::Inserted));
         assert_eq!(t.len(), 40);
         // Empty batch.
-        let mut empty: Vec<Request> = vec![];
-        let report = t.execute_batch_partitioned(&mut empty, &grid());
+        let (_, report) = sharded(&t, []);
         assert_eq!(report.warps, 0);
         // Single request.
-        let mut one = vec![Request::search(7)];
-        t.execute_batch_partitioned(&mut one, &grid());
-        assert_eq!(one[0].result, OpResult::Found(7));
+        let (one, _) = sharded(&t, [Request::search(7)]);
+        assert_eq!(one.requests()[0].result, OpResult::Found(7));
     }
 
     #[test]

@@ -111,13 +111,6 @@ pub struct BrokerConfig {
     /// Writes are shed while the allocator's free-slab gauge is at or below
     /// this watermark (shed policy only). Reads are unaffected.
     pub write_shed_headroom: u64,
-    /// Batches at least this large execute through sharded ownership
-    /// dispatch: requests are routed to the executor that owns their
-    /// bucket's shard, so a hot bucket is only ever touched by one worker.
-    /// Below the threshold the flat warp-chunked path wins (no routing
-    /// pass). The broker pre-hashes every admitted request, so the sharded
-    /// path skips its bucket pass entirely.
-    pub partition_threshold: usize,
     /// Circuit-breaker tuning.
     pub breaker: BreakerConfig,
     /// How long the broker thread parks when nothing wakes it: the idle
@@ -140,7 +133,6 @@ impl Default for BrokerConfig {
             policy: MaintenancePolicy::shed(),
             max_dispatch_attempts: 4,
             write_shed_headroom: 16,
-            partition_threshold: 64,
             breaker: BreakerConfig::default(),
             idle_tick: Duration::from_millis(1),
             grid: None,
@@ -158,7 +150,6 @@ impl std::fmt::Debug for BrokerConfig {
             .field("policy", &self.policy)
             .field("max_dispatch_attempts", &self.max_dispatch_attempts)
             .field("write_shed_headroom", &self.write_shed_headroom)
-            .field("partition_threshold", &self.partition_threshold)
             .field("breaker", &self.breaker)
             .field("idle_tick", &self.idle_tick)
             .field("grid", &self.grid.as_ref().map(|_| "Grid"))
@@ -363,6 +354,13 @@ impl Drop for Broker {
 /// High bit of an idle housekeeping pass's chaos stream; batches use the
 /// streams below it.
 const IDLE_STREAMS: u32 = 1 << 31;
+
+/// Batches at least this large execute through sharded ownership dispatch:
+/// requests are routed to the executor that owns their bucket's shard, so a
+/// hot bucket is only ever touched by one worker. Below it the flat
+/// warp-chunked path wins (no routing pass). The broker pre-hashes every
+/// admitted request, so the sharded path skips its bucket pass entirely.
+const PARTITION_THRESHOLD: usize = 64;
 
 /// What one attempt at a broker pass found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -799,7 +797,7 @@ impl<L: EntryLayout, A: SlabAllocator> BrokerRun<L, A> {
             for env in &mut pending {
                 env.span.mark_at(Stage::Dispatch, exec_start);
             }
-            let report = if self.batch.len() >= self.cfg.partition_threshold {
+            let report = if self.batch.len() >= PARTITION_THRESHOLD {
                 self.table.execute_buffer_partitioned(&mut self.batch, &self.grid)
             } else {
                 self.table.execute_buffer(&mut self.batch, &self.grid)

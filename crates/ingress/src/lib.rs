@@ -318,18 +318,24 @@ mod tests {
 
     #[test]
     fn broker_sharded_path_matches_flat_results() {
-        // Force every coalesced batch down the sharded path and check the
-        // replies are indistinguishable from the flat default.
-        let run = |threshold: usize| {
+        // One 300-request pass takes the sharded branch; 300 one-at-a-time
+        // calls take the flat one. The replies must be indistinguishable.
+        let sharded = {
             let table = small_table();
+            // The sleep lets the broker thread finish its start-up pass; the
+            // long idle tick then keeps it parked, and `enqueue` does not
+            // wake it, so the first `wait` runs the whole queue as one pass
+            // on this thread.
             let cfg = BrokerConfig {
-                partition_threshold: threshold,
+                idle_tick: Duration::from_secs(60),
                 ..BrokerConfig::default()
             };
             let broker = Broker::spawn(Arc::clone(&table), cfg);
+            std::thread::sleep(Duration::from_millis(50));
             let client = broker.handle();
+            let budget = Duration::from_secs(30);
             let tickets: Vec<_> = (0..300u32)
-                .map(|k| client.submit(Request::insert(k, k)).unwrap())
+                .map(|k| client.enqueue(Request::insert(k, k), budget).unwrap())
                 .collect();
             let ok = tickets
                 .into_iter()
@@ -337,15 +343,23 @@ mod tests {
                 .filter(|r| r.result.is_ok())
                 .count();
             drop(client);
+            let stats = broker.shutdown();
+            assert_eq!(stats.batches, 1, "the 300 requests must share one pass");
+            (ok, table.len())
+        };
+        let flat = {
+            let table = small_table();
+            let broker = Broker::spawn(Arc::clone(&table), BrokerConfig::default());
+            let client = broker.handle();
+            let ok = (0..300u32)
+                .filter(|&k| client.call(Request::insert(k, k)).is_ok())
+                .count();
+            drop(client);
             broker.shutdown();
             (ok, table.len())
         };
-        let (sharded_ok, sharded_len) = run(1);
-        let (flat_ok, flat_len) = run(usize::MAX);
-        assert_eq!(sharded_ok, 300);
-        assert_eq!(flat_ok, 300);
-        assert_eq!(sharded_len, 300);
-        assert_eq!(flat_len, 300);
+        assert_eq!(sharded, (300, 300));
+        assert_eq!(flat, (300, 300));
     }
 
     #[test]

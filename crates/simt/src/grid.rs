@@ -9,10 +9,10 @@
 //! lock-free algorithms (CAS retries, allocate-then-link races,
 //! delete/search interleavings) is exercised for real, not emulated.
 //!
-//! Executor threads are persistent (see [`Dispatch::Pooled`] and the
-//! crate's `pool` module): a launch wakes the grid's parked workers
-//! instead of spawning fresh OS threads, mirroring how a GPU's SMs are
-//! always powered and merely fed new blocks.
+//! Executor threads are persistent (see [`Grid`] and the crate's `pool`
+//! module): a launch wakes the grid's parked workers instead of spawning
+//! fresh OS threads, mirroring how a GPU's SMs are always powered and
+//! merely fed new blocks.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -177,31 +177,20 @@ impl std::fmt::Display for LaunchError {
     }
 }
 
-/// How a [`Grid`] turns warps into OS-thread work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dispatch {
-    /// Persistent parked executors (the default): the grid owns
-    /// `num_threads - 1` worker threads, spawned lazily on the first
-    /// parallel launch; each launch wakes them and the launching thread
-    /// executes alongside. Concurrent launches on one shared grid (and
-    /// nested launches from inside a kernel) transparently fall back to
-    /// scoped spawning for that launch.
-    Pooled,
-    /// Legacy per-launch `std::thread::scope` spawning. Kept as the
-    /// benchmarking baseline (`perf`'s pooled-vs-scoped ablation) and as
-    /// the pooled path's fallback.
-    Scoped,
-}
-
 /// The warp scheduler: a fixed-width pool of OS threads standing in for the
 /// GPU's SMs.
+///
+/// The grid owns `num_threads - 1` persistent worker threads, spawned
+/// lazily on the first parallel launch; each launch wakes them and the
+/// launching thread executes alongside. A launch that finds the pool busy
+/// (concurrent launches on one shared grid, or a nested launch from inside
+/// a kernel) spawns scoped threads for just that launch instead.
 ///
 /// Clones share the same executor pool, so passing a grid by clone is cheap
 /// and keeps one set of worker threads per logical scheduler.
 #[derive(Clone)]
 pub struct Grid {
     num_threads: usize,
-    dispatch: Dispatch,
     pool: Arc<OnceLock<Pool>>,
 }
 
@@ -209,7 +198,6 @@ impl std::fmt::Debug for Grid {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Grid")
             .field("num_threads", &self.num_threads)
-            .field("dispatch", &self.dispatch)
             .field("pool_started", &self.pool.get().is_some())
             .finish()
     }
@@ -230,23 +218,10 @@ impl Default for Grid {
 
 impl Grid {
     /// A scheduler with `num_threads` concurrent warp executors (clamped to
-    /// at least one), using the default [`Dispatch::Pooled`] strategy.
+    /// at least one).
     pub fn new(num_threads: usize) -> Self {
-        Self::with_dispatch(num_threads, Dispatch::Pooled)
-    }
-
-    /// A scheduler that spawns scoped threads per launch
-    /// ([`Dispatch::Scoped`]) — the pre-pool behaviour, kept for A/B
-    /// measurement against the pooled path.
-    pub fn scoped(num_threads: usize) -> Self {
-        Self::with_dispatch(num_threads, Dispatch::Scoped)
-    }
-
-    /// A scheduler with an explicit dispatch strategy.
-    pub fn with_dispatch(num_threads: usize, dispatch: Dispatch) -> Self {
         Self {
             num_threads: num_threads.max(1),
-            dispatch,
             pool: Arc::new(OnceLock::new()),
         }
     }
@@ -263,19 +238,10 @@ impl Grid {
         self.num_threads
     }
 
-    /// The dispatch strategy this grid launches with.
-    pub fn dispatch(&self) -> Dispatch {
-        self.dispatch
-    }
-
-    /// Live executor-pool statistics, for the metrics plane. `None` on
-    /// scoped grids and on pooled grids that have not launched yet (the
-    /// pool spawns lazily on first launch).
+    /// Live executor-pool statistics, for the metrics plane. `None` until
+    /// the grid's first parallel launch (the pool spawns lazily).
     pub fn pool_stats(&self) -> Option<crate::pool::PoolStats> {
-        match self.dispatch {
-            Dispatch::Scoped => None,
-            Dispatch::Pooled => self.pool.get().map(Pool::stats),
-        }
+        self.pool.get().map(Pool::stats)
     }
 
     /// Fault-injection hook for robustness tests: makes up to `n` of the
@@ -283,17 +249,12 @@ impl Grid {
     /// has not launched yet), blocks until they are gone, and returns the
     /// number of workers still alive. Subsequent launches must keep
     /// completing on the survivors — launcher-only in the limit — instead of
-    /// hanging the completion barrier. No-op (returns 0) on scoped grids,
-    /// which have no pool.
+    /// hanging the completion barrier.
     #[doc(hidden)]
     pub fn debug_kill_pool_workers(&self, n: usize) -> usize {
-        match self.dispatch {
-            Dispatch::Scoped => 0,
-            Dispatch::Pooled => self
-                .pool
-                .get_or_init(|| Pool::new(self.num_threads - 1))
-                .kill_workers(n),
-        }
+        self.pool
+            .get_or_init(|| Pool::new(self.num_threads - 1))
+            .kill_workers(n)
     }
 
     /// Launches a kernel over `items`, one item per simulated GPU thread.
@@ -328,46 +289,23 @@ impl Grid {
         F: Fn(&mut WarpCtx, &mut [T]) + Sync,
     {
         let dispenser = ChunkDispenser::new(items, WARP_SIZE);
-        let warps = dispenser.num_chunks();
-        let containment = Containment::default();
-        let session = telemetry::current_session();
-        if let Some(s) = &session {
-            s.emit(LAUNCH_WARP, EventKind::LaunchBegin { warps: warps as u32 });
-        }
-        // The wall clock starts after launch setup (chunk arithmetic,
-        // session lookup) so `LaunchReport::wall` measures kernel
-        // execution, not host bookkeeping.
-        let start = Instant::now();
-        let (counters, histograms) = self.run_warps(warps, session.as_ref(), |_slot, warp_ctx| {
+        self.run_launch(dispenser.num_chunks(), |_slot, ctx, containment| {
             while !containment.poisoned() {
                 let Some((warp_id, chunk)) = dispenser.next() else {
                     break;
                 };
-                warp_ctx.warp_id = warp_id;
-                warp_ctx.begin_warp();
-                let ok = containment.run_warp(warp_id, || kernel(warp_ctx, chunk));
-                warp_ctx.end_warp();
-                if !ok {
+                if !containment.run_warp(ctx, warp_id, |ctx| kernel(ctx, chunk)) {
                     break;
                 }
             }
-        });
-        let wall = start.elapsed();
-        if let Some(s) = &session {
-            s.emit(LAUNCH_WARP, EventKind::LaunchEnd { warps: warps as u32 });
-        }
-        containment.into_result(LaunchReport {
-            counters,
-            histograms,
-            wall,
-            warps,
         })
     }
 
-    /// Launches a kernel over shard-shaped work: `items` is the
-    /// concatenation of per-shard sub-batches described by `plan`, and each
-    /// executor drains *its own* shard's warps before stealing from others
-    /// (owner-first dispatch; see [`crate::ShardPlan`]).
+    /// Launches a kernel over shard-shaped work, containing warp panics as
+    /// [`Grid::try_launch`] does: `items` is the concatenation of per-shard
+    /// sub-batches described by `plan`, and each executor drains *its own*
+    /// shard's warps before stealing from others (owner-first dispatch; see
+    /// [`crate::ShardPlan`]).
     ///
     /// Ownership is keyed on stable executor slots — the launching thread
     /// is slot 0, each pool worker keeps its spawn index for life — so
@@ -376,22 +314,6 @@ impl Grid {
     /// gone idle (or an owner has died) and steals the tail. Correctness
     /// never depends on the routing: stolen or misrouted chunks run the
     /// same kernel against the same table.
-    ///
-    /// A panicking warp is re-raised on the calling thread (after in-flight
-    /// warps drain); use [`Grid::try_launch_sharded`] to contain it instead.
-    pub fn launch_sharded<T, F>(&self, items: &mut [T], plan: &ShardPlan, kernel: F) -> LaunchReport
-    where
-        T: Send,
-        F: Fn(&mut WarpCtx, &mut [T]) + Sync,
-    {
-        match self.try_launch_sharded(items, plan, kernel) {
-            Ok(report) => report,
-            Err(e) => e.resume_unwind(),
-        }
-    }
-
-    /// Like [`Grid::launch_sharded`], but contains warp panics (see
-    /// [`Grid::try_launch`]).
     ///
     /// # Errors
     /// Returns the first warp panic observed.
@@ -409,35 +331,11 @@ impl Grid {
         F: Fn(&mut WarpCtx, &mut [T]) + Sync,
     {
         let dispenser = ShardDispenser::new(items, plan);
-        let warps = plan.num_chunks();
-        let containment = Containment::default();
-        let session = telemetry::current_session();
-        if let Some(s) = &session {
-            s.emit(LAUNCH_WARP, EventKind::LaunchBegin { warps: warps as u32 });
-        }
-        // As in `try_launch`: time the kernel, not the setup.
-        let start = Instant::now();
-        let (counters, histograms) = self.run_warps(warps, session.as_ref(), |slot, warp_ctx| {
+        self.run_launch(plan.num_chunks(), |slot, ctx, containment| {
             dispenser.drain(slot, |warp_id, chunk| {
-                if containment.poisoned() {
-                    return false;
-                }
-                warp_ctx.warp_id = warp_id;
-                warp_ctx.begin_warp();
-                let ok = containment.run_warp(warp_id, || kernel(warp_ctx, chunk));
-                warp_ctx.end_warp();
-                ok
+                !containment.poisoned()
+                    && containment.run_warp(ctx, warp_id, |ctx| kernel(ctx, chunk))
             });
-        });
-        let wall = start.elapsed();
-        if let Some(s) = &session {
-            s.emit(LAUNCH_WARP, EventKind::LaunchEnd { warps: warps as u32 });
-        }
-        containment.into_result(LaunchReport {
-            counters,
-            histograms,
-            wall,
-            warps,
         })
     }
 
@@ -467,63 +365,59 @@ impl Grid {
         F: Fn(&mut WarpCtx) + Sync,
     {
         let next_warp = AtomicUsize::new(0);
+        self.run_launch(num_warps, |_slot, ctx, containment| {
+            while !containment.poisoned() {
+                let warp_id = next_warp.fetch_add(1, Ordering::Relaxed);
+                if warp_id >= num_warps || !containment.run_warp(ctx, warp_id, &kernel) {
+                    break;
+                }
+            }
+        })
+    }
+
+    /// The launch shared by every entry point: emits the session's
+    /// `LaunchBegin`/`LaunchEnd`, times the kernel, runs `claim` on each
+    /// executor with a fresh warp context, merges the resulting counter and
+    /// histogram blocks, and turns the containment outcome into the
+    /// launch result. `claim` is the entry point's warp-claim loop; it runs
+    /// each warp through [`Containment::run_warp`] and must not unwind.
+    ///
+    /// `claim`'s first argument is the executor's stable slot (0 for the
+    /// launching thread, the pool worker's spawn index otherwise) — the
+    /// shard-ownership key for sharded launches; flat launches ignore it.
+    fn run_launch<C>(&self, warps: usize, claim: C) -> Result<LaunchReport, LaunchError>
+    where
+        C: Fn(usize, &mut WarpCtx, &Containment) + Sync,
+    {
         let containment = Containment::default();
+        // Captured once on the launching thread; executors record into
+        // private rings bound to it.
         let session = telemetry::current_session();
         if let Some(s) = &session {
-            s.emit(
-                LAUNCH_WARP,
-                EventKind::LaunchBegin {
-                    warps: num_warps as u32,
-                },
-            );
+            s.emit(LAUNCH_WARP, EventKind::LaunchBegin { warps: warps as u32 });
         }
-        // As in `try_launch`: time the kernel, not the setup.
+        // The wall clock starts after launch setup (claim-state arithmetic,
+        // session lookup) so `LaunchReport::wall` measures kernel
+        // execution, not host bookkeeping.
         let start = Instant::now();
-        let (counters, histograms) = self.run_warps(num_warps, session.as_ref(), |_slot, warp_ctx| loop {
-            if containment.poisoned() {
-                break;
-            }
-            let warp_id = next_warp.fetch_add(1, Ordering::Relaxed);
-            if warp_id >= num_warps {
-                break;
-            }
-            warp_ctx.warp_id = warp_id;
-            warp_ctx.begin_warp();
-            let ok = containment.run_warp(warp_id, || kernel(warp_ctx));
-            warp_ctx.end_warp();
-            if !ok {
-                break;
-            }
+        let (counters, histograms) = self.run_executors(warps, session.as_ref(), |slot, ctx| {
+            claim(slot, ctx, &containment)
         });
         let wall = start.elapsed();
         if let Some(s) = &session {
-            s.emit(
-                LAUNCH_WARP,
-                EventKind::LaunchEnd {
-                    warps: num_warps as u32,
-                },
-            );
+            s.emit(LAUNCH_WARP, EventKind::LaunchEnd { warps: warps as u32 });
         }
         containment.into_result(LaunchReport {
             counters,
             histograms,
             wall,
-            warps: num_warps,
+            warps,
         })
     }
 
-    /// Runs `body` on each executor with a fresh warp context and merges
-    /// the resulting counter and histogram blocks. Bodies must not unwind
-    /// (the `try_` launch entry points catch per-warp panics before they
-    /// reach here).
-    ///
-    /// `body`'s first argument is the executor's stable slot (0 for the
-    /// launching thread, the pool worker's spawn index otherwise) — the
-    /// shard-ownership key for sharded launches; flat launches ignore it.
-    ///
-    /// `session` is the launching thread's trace session, captured once by
-    /// the caller; executors record into private rings bound to it.
-    fn run_warps<B>(
+    /// Runs `body` on each executor with a fresh warp context bound to
+    /// `session` and merges the resulting counter and histogram blocks.
+    fn run_executors<B>(
         &self,
         expected_warps: usize,
         session: Option<&SessionHandle>,
@@ -558,15 +452,12 @@ impl Grid {
             // `ctx` drops here, flushing its trace ring before the pool
             // counts this executor as done.
         };
-        let ran_pooled = self.dispatch == Dispatch::Pooled && {
-            let pool = self.pool.get_or_init(|| Pool::new(self.num_threads - 1));
-            // The launching thread is one executor; the pool wakes the rest.
-            // `try_run` declines when another launch holds the pool (shared
-            // grid, or a kernel launching on its own grid) — fall through
-            // to scoped spawning for just that launch.
-            pool.try_run(executors - 1, &executor)
-        };
-        if !ran_pooled {
+        let pool = self.pool.get_or_init(|| Pool::new(self.num_threads - 1));
+        // The launching thread is one executor; the pool wakes the rest.
+        // `try_run` declines when another launch holds the pool (shared
+        // grid, or a kernel launching on its own grid) — fall back to
+        // scoped spawning for just that launch.
+        if !pool.try_run(executors - 1, &executor) {
             let executor = &executor;
             std::thread::scope(|scope| {
                 for slot in 0..executors {
@@ -594,10 +485,20 @@ impl Containment {
         self.poisoned.load(Ordering::Acquire)
     }
 
-    /// Runs one warp body, catching a panic. Returns `false` when the
-    /// executor should stop (this warp panicked).
-    fn run_warp(&self, warp_id: usize, warp_body: impl FnOnce()) -> bool {
-        match catch_unwind(AssertUnwindSafe(warp_body)) {
+    /// Runs warp `warp_id` on `ctx` between its `warp_begin`/`warp_end`
+    /// trace events, catching a panic. Returns `false` when the executor
+    /// should stop (this warp panicked).
+    fn run_warp(
+        &self,
+        ctx: &mut WarpCtx,
+        warp_id: usize,
+        warp_body: impl FnOnce(&mut WarpCtx),
+    ) -> bool {
+        ctx.warp_id = warp_id;
+        ctx.begin_warp();
+        let outcome = catch_unwind(AssertUnwindSafe(|| warp_body(ctx)));
+        ctx.end_warp();
+        match outcome {
             Ok(()) => {
                 self.completed.fetch_add(1, Ordering::Relaxed);
                 true
@@ -761,16 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn default_dispatch_is_pooled_and_scoped_is_available() {
-        assert_eq!(Grid::new(4).dispatch(), Dispatch::Pooled);
-        assert_eq!(Grid::default().dispatch(), Dispatch::Pooled);
-        let scoped = Grid::scoped(4);
-        assert_eq!(scoped.dispatch(), Dispatch::Scoped);
-        let report = scoped.launch_warps(16, |ctx| ctx.counters.ops += 1);
-        assert_eq!(report.counters.ops, 16);
-    }
-
-    #[test]
     fn pooled_grid_reuses_workers_across_many_launches() {
         let grid = Grid::new(4);
         for round in 0..100u64 {
@@ -829,13 +720,15 @@ mod tests {
         plan.reset(&[0, 100, 101, 180, 300], WARP_SIZE);
         let warps = plan.num_chunks();
         let seen = (0..warps).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
-        let report = grid.launch_sharded(&mut items, &plan, |ctx, chunk| {
-            seen[ctx.warp_id].fetch_add(1, Ordering::Relaxed);
-            for item in chunk.iter_mut() {
-                *item += 1;
-                ctx.counters.ops += 1;
-            }
-        });
+        let report = grid
+            .try_launch_sharded(&mut items, &plan, |ctx, chunk| {
+                seen[ctx.warp_id].fetch_add(1, Ordering::Relaxed);
+                for item in chunk.iter_mut() {
+                    *item += 1;
+                    ctx.counters.ops += 1;
+                }
+            })
+            .unwrap();
         assert!(items.iter().all(|&v| v == 1), "every item exactly once");
         assert_eq!(report.counters.ops, 300);
         assert_eq!(report.warps, warps);
@@ -849,12 +742,14 @@ mod tests {
         let mut plan = ShardPlan::new();
         // 8 shards but only 2 executors: stealing must finish the job.
         plan.reset(&[0, 32, 64, 96, 128, 160, 192, 224, 256], WARP_SIZE);
-        let report = grid.launch_sharded(&mut items, &plan, |ctx, chunk| {
-            for item in chunk.iter_mut() {
-                *item += 1000;
-                ctx.counters.ops += 1;
-            }
-        });
+        let report = grid
+            .try_launch_sharded(&mut items, &plan, |ctx, chunk| {
+                for item in chunk.iter_mut() {
+                    *item += 1000;
+                    ctx.counters.ops += 1;
+                }
+            })
+            .unwrap();
         assert_eq!(report.counters.ops, 256);
         assert!(items.iter().enumerate().all(|(i, &v)| v == i as u32 + 1000));
     }
@@ -867,12 +762,14 @@ mod tests {
             let mut items = vec![0u32; 4 * WARP_SIZE * 4];
             let n = items.len();
             plan.reset(&[0, n / 4, n / 2, 3 * n / 4, n], WARP_SIZE);
-            let report = grid.launch_sharded(&mut items, plan, |ctx, chunk| {
-                for item in chunk.iter_mut() {
-                    *item += 1;
-                    ctx.counters.ops += 1;
-                }
-            });
+            let report = grid
+                .try_launch_sharded(&mut items, plan, |ctx, chunk| {
+                    for item in chunk.iter_mut() {
+                        *item += 1;
+                        ctx.counters.ops += 1;
+                    }
+                })
+                .unwrap();
             assert_eq!(report.counters.ops, n as u64);
             assert!(items.iter().all(|&v| v == 1));
         };
@@ -911,7 +808,9 @@ mod tests {
         let mut items: Vec<u32> = vec![];
         let mut plan = ShardPlan::new();
         plan.reset(&[0, 0, 0, 0], WARP_SIZE);
-        let report = grid.launch_sharded(&mut items, &plan, |_, _| panic!("no warps"));
+        let report = grid
+            .try_launch_sharded(&mut items, &plan, |_, _| panic!("no warps"))
+            .unwrap();
         assert_eq!(report.warps, 0);
     }
 

@@ -61,7 +61,7 @@ pub use telemetry;
 pub use chaos::{ChaosGuard, FaultPlan};
 pub use counters::PerfCounters;
 pub use epoch::{EpochClock, EpochPin};
-pub use grid::{Dispatch, Grid, LaunchError, LaunchReport, WarpCtx};
+pub use grid::{Grid, LaunchError, LaunchReport, WarpCtx};
 pub use pool::PoolStats;
 pub use memory::{pack_pair, unpack_pair, SlabStorage, SLAB_BYTES, WORDS_PER_SLAB};
 pub use shard::{ShardMap, ShardPlan};

@@ -1,11 +1,12 @@
 //! Shard ownership: contiguous bucket-range → executor mapping plus the
-//! reusable claim state behind [`Grid::launch_sharded`](crate::Grid::launch_sharded).
+//! reusable claim state behind
+//! [`Grid::try_launch_sharded`](crate::Grid::try_launch_sharded).
 //!
-//! The partitioned-batch experiment in PR 5 sorted requests by bucket and
-//! fed them through the shared chunk dispenser — which meant a hot bucket's
-//! requests, now *adjacent*, were routinely split across a chunk boundary
-//! and executed by two pool workers at the same instant: the sort
-//! manufactured exactly the CAS contention it was meant to remove (the
+//! Ordering requests by bucket is not enough to remove hot-bucket
+//! contention: fed through the shared chunk dispenser, a hot bucket's
+//! requests, now *adjacent*, are routinely split across a chunk boundary
+//! and executed by two pool workers at the same instant, so the sort
+//! manufactures exactly the CAS contention it was meant to remove (the
 //! 0.82x regression in BENCH_5.json). Sharded dispatch fixes the routing
 //! instead of the order: every bucket belongs to exactly one contiguous
 //! shard, every shard has one *owning* executor, and a bucket's requests

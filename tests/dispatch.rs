@@ -1,15 +1,18 @@
 //! Pool-semantics parity and partitioned-batch equivalence.
 //!
 //! The persistent executor pool must be observably identical to the scoped
-//! per-launch threads it replaced: same panic containment, same per-launch
-//! fault plan (the launching thread's, inherited for the launch and shed
-//! afterwards — workers outlive launches now), same per-launch telemetry binding, same merged
-//! counter and histogram totals. And bucket-partitioned batch execution
-//! must be a pure scheduling change: identical table state, identical
-//! per-request results in the caller's order.
+//! per-launch threads a launch falls back to when the pool is busy: same
+//! panic containment, same per-launch fault plan (the launching thread's,
+//! inherited for the launch and shed afterwards — workers outlive
+//! launches), same per-launch telemetry binding, same merged counter and
+//! histogram totals. And bucket-partitioned batch execution must be a pure
+//! scheduling change: identical table state, identical per-request results
+//! in the caller's order.
+
+use std::sync::Mutex;
 
 use simt::telemetry::{EventKind, TraceConfig, TraceSession};
-use simt::{ChaosGuard, Dispatch, FaultPlan, Grid};
+use simt::{ChaosGuard, FaultPlan, Grid};
 use slab_hash::{BatchBuffer, KeyValue, OpResult, Request, SlabHash, SlabHashConfig};
 
 /// SplitMix64, for distinct well-spread test keys without the bench crate.
@@ -20,9 +23,34 @@ fn mixed_key(i: u64) -> u32 {
     ((z ^ (z >> 31)) % (u32::MAX as u64 - 2)) as u32 + 1
 }
 
+/// Runs `body` twice on `grid`: directly, where its launches run on the
+/// persistent pool, and from inside a kernel on the same grid, where the
+/// outer launch holds the pool and `body`'s launches take the scoped-thread
+/// fallback. `body` gets the name of the path it exercises.
+fn on_pool_and_fallback<R: Send>(grid: &Grid, body: impl Fn(&str) -> R + Sync) -> [R; 2] {
+    let pooled = body("pooled");
+    let pool_launches = || grid.pool_stats().map_or(0, |s| s.launches);
+    let before = pool_launches();
+    let fallback = Mutex::new(None);
+    // Two warps, so the outer launch wakes the pool instead of running
+    // inline; only warp 0 runs `body`.
+    grid.launch_warps(2, |ctx| {
+        if ctx.warp_id == 0 {
+            *fallback.lock().unwrap() = Some(body("fallback"));
+        }
+    });
+    assert_eq!(
+        pool_launches(),
+        before + 1,
+        "only the outer launch may run on the pool"
+    );
+    [pooled, fallback.into_inner().unwrap().expect("warp 0 ran")]
+}
+
 #[test]
 fn pooled_and_scoped_contain_panics_identically() {
-    for grid in [Grid::new(4), Grid::scoped(4)] {
+    let grid = Grid::new(4);
+    on_pool_and_fallback(&grid, |path| {
         let mut items = vec![0u32; 40 * 32];
         let err = grid
             .try_launch(&mut items, |ctx, chunk| {
@@ -34,13 +62,13 @@ fn pooled_and_scoped_contain_panics_identically() {
                 }
             })
             .expect_err("warp 7 must fail the launch");
-        assert_eq!(err.warp_id, 7, "{:?} dispatch", grid.dispatch());
+        assert_eq!(err.warp_id, 7, "{path} dispatch");
         assert_eq!(err.message(), Some("lane fault in warp 7"));
         assert!(err.completed_warps < 40, "poison must stop queued warps");
-        // Either grid is alive and reusable after containment.
+        // Either path is alive and reusable after containment.
         let report = grid.try_launch(&mut items, |_, _| {}).unwrap();
         assert_eq!(report.warps, 40);
-    }
+    });
 }
 
 #[test]
@@ -96,18 +124,23 @@ fn pool_inherits_chaos_enrollment_per_launch_and_sheds_it() {
         .counters
         .ops
     };
-    for grid in [Grid::new(4), Grid::scoped(4)] {
-        // Warm the pool outside any chaos scope.
-        assert_eq!(planned_warps(&grid), 0);
-        {
-            let _chaos = ChaosGuard::plan(plan);
-            // Every executor, the same persistent workers included, must
-            // now run under the launching thread's plan, for every warp.
-            assert_eq!(planned_warps(&grid), 64);
-        }
-        // Guard dropped: workers are persistent, the plan must not be.
-        assert_eq!(planned_warps(&grid), 0);
+    let grid = Grid::new(4);
+    // Warm the pool outside any chaos scope.
+    assert_eq!(planned_warps(&grid), 0);
+    let [pooled, fallback] = on_pool_and_fallback(&grid, |_| planned_warps(&grid));
+    assert_eq!([pooled, fallback], [0, 0]);
+    {
+        let _chaos = ChaosGuard::plan(plan);
+        // Every executor, the same persistent workers included, must now
+        // run under the launching thread's plan, for every warp. A nested
+        // launch's launching thread is an outer executor, which holds the
+        // plan for the outer launch.
+        let [pooled, fallback] = on_pool_and_fallback(&grid, |_| planned_warps(&grid));
+        assert_eq!([pooled, fallback], [64, 64]);
     }
+    // Guard dropped: workers are persistent, the plan must not be.
+    let [pooled, fallback] = on_pool_and_fallback(&grid, |_| planned_warps(&grid));
+    assert_eq!([pooled, fallback], [0, 0]);
 }
 
 #[test]
@@ -219,25 +252,22 @@ fn pool_binds_telemetry_sessions_per_launch() {
 #[test]
 fn pooled_and_scoped_merge_identical_totals() {
     // Read-only searches are deterministic regardless of schedule, so the
-    // merged counters and histograms must agree exactly across dispatch
-    // strategies.
+    // merged counters and histograms must agree exactly between the pool
+    // and the scoped fallback.
     let n = 20_000usize;
     let pairs: Vec<(u32, u32)> = (0..n as u64).map(|i| (mixed_key(i), i as u32)).collect();
     let keys: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-    let reports: Vec<_> = [Dispatch::Pooled, Dispatch::Scoped]
-        .into_iter()
-        .map(|dispatch| {
-            let grid = Grid::with_dispatch(6, dispatch);
-            let t = SlabHash::<KeyValue>::for_expected_elements(n, 0.75, 42);
-            // Build deterministically: a racy build leaves schedule-dependent
-            // fingerprint-tag state (contended lanes escalate to the
-            // wildcard), which would perturb the searches' tag counters.
-            t.bulk_build(&pairs, &Grid::sequential());
-            let (hits, report) = t.bulk_search(&keys, &grid);
-            assert!(hits.iter().all(|h| h.is_some()));
-            report
-        })
-        .collect();
+    let grid = Grid::new(6);
+    let reports = on_pool_and_fallback(&grid, |_| {
+        let t = SlabHash::<KeyValue>::for_expected_elements(n, 0.75, 42);
+        // Build deterministically: a racy build leaves schedule-dependent
+        // fingerprint-tag state (contended lanes escalate to the
+        // wildcard), which would perturb the searches' tag counters.
+        t.bulk_build(&pairs, &Grid::sequential());
+        let (hits, report) = t.bulk_search(&keys, &grid);
+        assert!(hits.iter().all(|h| h.is_some()));
+        report
+    });
     assert_eq!(reports[0].counters, reports[1].counters);
     assert_eq!(reports[0].warps, reports[1].warps);
     for (a, b) in [
@@ -248,6 +278,23 @@ fn pooled_and_scoped_merge_identical_totals() {
         assert_eq!(a.count(), b.count());
         assert_eq!(a.sum(), b.sum());
     }
+}
+
+/// Executes `reqs` through the sharded entry point and returns them, with
+/// their results, in the order given.
+fn run_sharded(
+    t: &SlabHash<KeyValue>,
+    reqs: impl IntoIterator<Item = Request>,
+    grid: &Grid,
+) -> BatchBuffer {
+    let mut batch: BatchBuffer = reqs.into_iter().collect();
+    t.execute_buffer_partitioned(&mut batch, grid);
+    batch
+}
+
+/// REPLACE requests building `pairs`.
+fn build_requests(pairs: &[(u32, u32)]) -> impl Iterator<Item = Request> + '_ {
+    pairs.iter().map(|&(k, v)| Request::replace(k, v))
 }
 
 /// Builds a mixed batch whose per-request outcomes are schedule-independent:
@@ -287,14 +334,13 @@ fn partitioned_batches_match_unpartitioned_results_and_state() {
             ..SlabHashConfig::with_buckets(256)
         });
         t1.bulk_build(&pairs, &grid);
-        t2.bulk_build_partitioned(&pairs, &grid);
+        run_sharded(&t2, build_requests(&pairs), &grid);
 
         let mut b1 = deterministic_batch(&built, seed * 77_000_000);
-        let mut b2 = b1.clone();
+        let b2 = run_sharded(&t2, b1.clone(), &grid);
         t1.execute_batch(&mut b1, &grid);
-        t2.execute_batch_partitioned(&mut b2, &grid);
 
-        for (i, (r1, r2)) in b1.iter().zip(&b2).enumerate() {
+        for (i, (r1, r2)) in b1.iter().zip(b2.requests()).enumerate() {
             assert_eq!(r1.key, r2.key, "seed {seed}, slot {i}: request order changed");
             assert_eq!(r1.result, r2.result, "seed {seed}, slot {i} (key {})", r1.key);
             assert_ne!(r1.result, OpResult::Pending, "seed {seed}, slot {i} never ran");
@@ -327,13 +373,12 @@ fn sharded_matches_unpartitioned_under_chaos_yields() {
         ..SlabHashConfig::with_buckets(128)
     });
     t1.bulk_build(&pairs, &grid);
-    t2.bulk_build_partitioned(&pairs, &grid);
+    run_sharded(&t2, build_requests(&pairs), &grid);
 
     let mut b1 = deterministic_batch(&built, 91_000_000);
-    let mut b2 = b1.clone();
+    let b2 = run_sharded(&t2, b1.clone(), &grid);
     t1.execute_batch(&mut b1, &grid);
-    t2.execute_batch_partitioned(&mut b2, &grid);
-    for (i, (r1, r2)) in b1.iter().zip(&b2).enumerate() {
+    for (i, (r1, r2)) in b1.iter().zip(b2.requests()).enumerate() {
         assert_eq!(r1.key, r2.key, "slot {i}: request order changed");
         assert_eq!(r1.result, r2.result, "slot {i} (key {})", r1.key);
     }
@@ -360,13 +405,12 @@ fn sharded_replies_stay_typed_and_ordered_under_cas_fault_injection() {
         seed: 0xD00D,
         ..SlabHashConfig::with_buckets(96)
     });
-    t.bulk_build_partitioned(&pairs, &grid);
+    run_sharded(&t, build_requests(&pairs), &grid);
 
     let submitted = deterministic_batch(&built, 66_000_000);
-    let mut batch = submitted.clone();
-    t.execute_batch_partitioned(&mut batch, &grid);
+    let batch = run_sharded(&t, submitted.clone(), &grid);
     assert_eq!(batch.len(), submitted.len());
-    for (i, (sent, got)) in submitted.iter().zip(&batch).enumerate() {
+    for (i, (sent, got)) in submitted.iter().zip(batch.requests()).enumerate() {
         assert_eq!(sent.key, got.key, "slot {i}: caller order not restored");
         assert_eq!(sent.op, got.op, "slot {i}: op changed in flight");
         assert_ne!(got.result, OpResult::Pending, "slot {i} never executed");
